@@ -48,6 +48,13 @@ class GaussianJitter:
         tail draw can never make time run backwards for realistic
         periods (a 3-sigma clip at 110 ps is ±330 ps, well under the
         1 ns minimum period).
+
+    The native core loop does not call :meth:`_refill`: it takes this
+    instance's bit generator (:func:`repro.uarch.native.native_jitter_args`)
+    and draws the same blocks in C with numpy's ``random_normal``, the
+    function ``Generator.normal`` calls per element.  A change to the
+    stream here must be mirrored in ``draw_jitter`` in ``_hotpath.c``;
+    subclasses always take the Python ``refill`` path.
     """
 
     def __init__(

@@ -31,7 +31,7 @@ from typing import Mapping
 
 from repro.config.mcd import CONTROLLED_DOMAINS, Domain, MCDConfig
 from repro.control.base import IntervalSnapshot
-from repro.dvfs.scale import FrequencyScale
+from repro.dvfs.scale import scale_for
 from repro.errors import ControlError
 
 
@@ -112,7 +112,7 @@ def build_offline_schedule(
         raise ControlError("target_degradation_pct must be >= 0")
     if aggressiveness < 0:
         raise ControlError("aggressiveness must be >= 0")
-    scale = FrequencyScale(config)
+    scale = scale_for(config)
     dilation = 1.0 + target_degradation_pct / 100.0
     fmax = config.max_frequency_mhz
     schedule: list[dict[Domain, float]] = []

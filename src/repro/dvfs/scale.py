@@ -3,9 +3,16 @@
 Materialises the 320-point frequency scale of Section 4 with its linear
 voltage map, and provides index arithmetic used by controllers (e.g.
 "one step down") and by tests asserting quantisation behaviour.
+
+The table is a pure function of the (frozen, hashable)
+:class:`~repro.config.mcd.MCDConfig`, so :func:`scale_for` builds it
+once per configuration and every regulator of every core shares that
+one read-only instance.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -33,6 +40,9 @@ class FrequencyScale:
         self.voltages_v = np.array(
             [config.voltage_for_frequency(f) for f in self.frequencies_mhz]
         )
+        # Shared between cores (see scale_for): nobody may write to it.
+        self.frequencies_mhz.setflags(write=False)
+        self.voltages_v.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.frequencies_mhz)
@@ -69,3 +79,14 @@ class FrequencyScale:
                 f"{len(self)} legal operating points"
             )
         return snapped
+
+
+@functools.lru_cache(maxsize=64)
+def scale_for(config: MCDConfig) -> FrequencyScale:
+    """The shared, read-only :class:`FrequencyScale` of ``config``.
+
+    Built on first use and reused by every later caller with an equal
+    configuration, instead of recomputing the 320-point table (and its
+    320 ``voltage_for_frequency`` calls) per regulator per core.
+    """
+    return FrequencyScale(config)

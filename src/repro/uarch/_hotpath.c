@@ -15,6 +15,12 @@
  * inline at each interval rollover — the closed-loop run then makes
  * zero per-interval Python crossings.  Custom controllers and interval
  * recording fall back to the per-interval `rollover` Python callback.
+ * Likewise a stock GaussianJitter hands over its numpy bit generator and
+ * the loop draws each jitter block itself with numpy's own
+ * random_normal (numpy/random/distributions.h, linked from the
+ * libnpyrandom.a numpy ships) — the same function Generator.normal
+ * calls once per element, so the stream is byte-identical.  Any other
+ * jitter model falls back to the per-block `refill` Python callback.
  * See repro/uarch/native.py for the build/load glue and controller
  * marshalling, and MCDCore._run_compiled_native for the marshal layer.
  *
@@ -24,9 +30,11 @@
  *   1. marshal   — all PyObject access and buffer extraction (GIL held);
  *   2. compute   — the event loop, pure C over RunState-local data,
  *                  with the GIL RELEASED (PyEval_SaveThread).  Its only
- *                  Python crossings are the jitter `refill` and the
- *                  per-interval `rollover` callbacks, bridged through
- *                  shims that re-acquire the GIL for the call;
+ *                  Python crossing is the per-interval `rollover`
+ *                  callback, for custom controllers and interval
+ *                  recording; non-stock jitter models add the
+ *                  per-block `refill`.  Both go through shims that
+ *                  re-acquire the GIL for the call;
  *   3. writeback — fold results into the owning objects (GIL held).
  *
  * Two entry points share the stages.  run_compiled drives one RunState
@@ -44,10 +52,19 @@
  * MCDCore._run_compiled_native.  Concurrent run_compiled/run_batch
  * calls from different threads therefore never share writable memory,
  * which is what makes the thread-pool sweep backend sound.
+ *
+ * The one piece of shared-looking state is a GaussianJitter's bit
+ * generator, which the compute stage advances without the GIL and
+ * without taking numpy's BitGenerator.lock (Generator.normal takes it).
+ * That is sound because each GaussianJitter is private to one core —
+ * MCDCore builds a fresh, separately seeded generator per domain — and
+ * a core runs on one thread at a time, so no other thread can draw
+ * from the same generator while the loop does.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <math.h>
+#include "numpy/random/distributions.h"
 #include <stdint.h>
 #include <string.h>
 
@@ -215,7 +232,7 @@ ints_to_list(PyObject *list, const int64_t *vals, Py_ssize_t n)
 /* ---------------------------------------------------- GIL bridge shims */
 
 /* The compute stage runs with the GIL released; these shims are its
- * only two Python crossings.  Each re-acquires the GIL just for the
+ * only Python crossings.  Each re-acquires the GIL just for the
  * callback and releases it again before returning, so other threads'
  * compute stages keep running while this one calls back.  On failure
  * the Python exception is left pending in this thread's state and -1
@@ -249,6 +266,25 @@ refill_jitter(PyObject *refill, int d, double **jbuf, Py_ssize_t *jlen,
     }
     *tstate = PyEval_SaveThread();
     return status;
+}
+
+/* Draw one jitter block for a stock GaussianJitter, GIL released:
+ * Generator.normal(0, sigma, n) calls random_normal once per element,
+ * and the clip matches np.clip(raw, -clip, clip) for finite samples. */
+static void
+draw_jitter(bitgen_t *gen, double sigma, double clip, double *buf,
+            Py_ssize_t n)
+{
+    for (Py_ssize_t j = 0; j < n; j++) {
+        double x = random_normal(gen, 0.0, sigma);
+        if (clip > 0) {
+            if (x < -clip)
+                x = -clip;
+            else if (x > clip)
+                x = clip;
+        }
+        buf[j] = x;
+    }
 }
 
 static int
@@ -328,6 +364,10 @@ typedef struct {
     int32_t *btb_cnt;
     double *jbuf[4];
     Py_ssize_t jlen[4];
+    /* native jitter draw per domain; jgen NULL means the refill bridge */
+    bitgen_t *jgen[4];
+    double jsigma[4], jclip[4];
+    Py_ssize_t jblock[4];
     int64_t *rob_seq;
     /* owning python objects (borrowed from the argument dict, which the
      * caller keeps alive for the duration of the call) */
@@ -340,6 +380,21 @@ typedef struct {
     double wall;
     const char *error;
 } RunState;
+
+/* Refill domain d's empty jitter buffer.  A stock GaussianJitter draws
+ * in C with the GIL still released; any other model goes through the
+ * refill bridge (see refill_jitter for the error contract). */
+static int
+next_jitter_block(RunState *rs, int d, PyThreadState **tstate)
+{
+    if (rs->jgen[d] == NULL)
+        return refill_jitter(rs->refill, d, &rs->jbuf[d], &rs->jlen[d],
+                             tstate);
+    draw_jitter(rs->jgen[d], rs->jsigma[d], rs->jclip[d], rs->jbuf[d],
+                rs->jblock[d]);
+    rs->jlen[d] = rs->jblock[d];
+    return 0;
+}
 
 /* Release everything a RunState owns (GIL held).  Safe on a zeroed or
  * partially-marshalled state: every allocation lands in the struct the
@@ -554,10 +609,11 @@ marshal_run(PyObject *a, RunState *rs)
     PyObject *meta_o = PyDict_GetItemString(a, "meta");
     PyObject *btb_o = PyDict_GetItemString(a, "btb");
     PyObject *jlists = PyDict_GetItemString(a, "jbufs");
+    PyObject *jdraw = PyDict_GetItemString(a, "jdraw");
     PyObject *refill = PyDict_GetItemString(a, "refill");
     PyObject *rollover = PyDict_GetItemString(a, "rollover");
     if (!l1i_sets_o || !l1d_sets_o || !l2_sets_o || !hist_o || !pl2_o || !bim_o
-        || !meta_o || !btb_o || !jlists || !refill || !rollover) {
+        || !meta_o || !btb_o || !jlists || !jdraw || !refill || !rollover) {
         PyErr_SetString(PyExc_KeyError, "hotpath: missing object arg");
         goto fail;
     }
@@ -609,11 +665,36 @@ marshal_run(PyObject *a, RunState *rs)
         }
     }
 
-    /* Jitter buffers (consumed from the tail, exactly like list.pop). */
+    /* Jitter buffers (consumed from the tail, exactly like list.pop).
+     * jdraw[d] is None (refill bridge) or (capsule, sigma, clip, block)
+     * for a stock GaussianJitter, whose blocks the loop draws itself
+     * into a buffer sized for the larger of the carried-over samples
+     * and one block. */
+    if (!PyList_Check(jdraw) || PyList_GET_SIZE(jdraw) != 4) {
+        PyErr_SetString(PyExc_TypeError, "hotpath: jdraw must be a 4-list");
+        goto fail;
+    }
     for (int d = 0; d < 4; d++) {
         PyObject *lst = PyList_GET_ITEM(jlists, d);
         Py_ssize_t k = PyList_GET_SIZE(lst);
-        rs->jbuf[d] = PyMem_Malloc((k ? k : 1) * sizeof(double));
+        Py_ssize_t cap = k;
+        PyObject *spec = PyList_GET_ITEM(jdraw, d);
+        if (spec != Py_None) {
+            PyObject *capsule;
+            if (!PyArg_ParseTuple(spec, "Oddn", &capsule, &rs->jsigma[d],
+                                  &rs->jclip[d], &rs->jblock[d]))
+                goto fail;
+            rs->jgen[d] = PyCapsule_GetPointer(capsule, "BitGenerator");
+            if (rs->jgen[d] == NULL)
+                goto fail;
+            if (rs->jblock[d] < 1) {
+                PyErr_SetString(PyExc_ValueError, "hotpath: bad jitter block");
+                goto fail;
+            }
+            if (rs->jblock[d] > cap)
+                cap = rs->jblock[d];
+        }
+        rs->jbuf[d] = PyMem_Malloc((cap ? cap : 1) * sizeof(double));
         if (rs->jbuf[d] == NULL) {
             PyErr_NoMemory();
             goto fail;
@@ -839,7 +920,7 @@ compute_run(RunState *rs, PyThreadState **tstate_p)
     double **jbuf = rs->jbuf;
     Py_ssize_t *jlen = rs->jlen;
     int64_t *rob_seq = rs->rob_seq;
-    PyObject *refill = rs->refill, *rollover = rs->rollover;
+    PyObject *rollover = rs->rollover;
     PyThreadState *tstate = *tstate_p;
     /* --- local run state ---------------------------------------------- */
     double fin_ns[RING];
@@ -1394,8 +1475,7 @@ compute_run(RunState *rs, PyThreadState **tstate_p)
             /* inlined clock advance */
             double step;
             if (mcd_mode) {
-                if (jlen[0] == 0
-                    && refill_jitter(refill, 0, &jbuf[0], &jlen[0], &tstate) < 0) {
+                if (jlen[0] == 0 && next_jitter_block(rs, 0, &tstate) < 0) {
                     py_error = 1;
                     break;
                 }
@@ -1656,8 +1736,7 @@ compute_run(RunState *rs, PyThreadState **tstate_p)
             /* inlined clock advance */
             double step;
             if (mcd_mode) {
-                if (jlen[d] == 0
-                    && refill_jitter(refill, d, &jbuf[d], &jlen[d], &tstate) < 0) {
+                if (jlen[d] == 0 && next_jitter_block(rs, d, &tstate) < 0) {
                     py_error = 1;
                     break;
                 }

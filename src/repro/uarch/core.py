@@ -677,12 +677,17 @@ class MCDCore:
         the whole closed-loop run then makes zero per-interval Python
         crossings.  Custom controllers and ``record_interval_trace``
         consumers fall back to the per-interval ``rollover`` callback.
+        A stock :class:`~repro.clocks.jitter.GaussianJitter` hands its
+        bit generator to the loop, which draws every jitter block in C;
+        other jitter models fall back to the per-block ``refill``
+        callback.
         """
         import numpy as np
 
         from repro.uarch.native import (
             fold_native_controller,
             native_controller_args,
+            native_jitter_args,
         )
 
         if self.controller is not None:
@@ -757,7 +762,7 @@ class MCDCore:
             )
 
         def refill(d: int):
-            """Refill domain ``d``'s jitter stream; returns the buffer."""
+            """Refill a non-stock jitter model's stream; returns the buffer."""
             jit = jitters[d]
             jit._refill()
             return np.asarray(jit._buffer, dtype=np.float64)
@@ -886,6 +891,7 @@ class MCDCore:
             "meta": predictor._meta,
             "btb": predictor.btb._table,
             "jbufs": [getattr(j, "_buffer", []) for j in jitters],
+            "jdraw": [native_jitter_args(j) for j in jitters],
             "refill": refill,
             "rollover": rollover,
             # scalars

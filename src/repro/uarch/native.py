@@ -4,8 +4,11 @@ The batched core loop exists three times, in strictly decreasing
 portability and increasing speed: the generator reference path, the
 pure-Python compiled path, and the C translation in ``_hotpath.c``.
 This module owns the third: it compiles the C source into a shared
-object on first use (plain ``cc -O2 -fPIC -shared``, no build system,
-no new dependencies) and loads it as a CPython extension module.
+object on first use (plain ``cc -O2 -fPIC -shared``, no build system)
+and loads it as a CPython extension module.  The build links numpy's
+bundled ``numpy/random/lib/libnpyrandom.a`` (shipped with every numpy
+wheel, found through the installed package) so the C loop can draw
+Gaussian clock jitter with numpy's own ``random_normal``.
 
 Floating-point identity is part of the contract, so the build disables
 FP contraction (``-ffp-contract=off``): a fused multiply-add rounds
@@ -13,9 +16,10 @@ once where CPython rounds twice, and the equivalence property tests
 would catch the drift.
 
 The artifact stamp covers everything that determines codegen: the C
-source, the interpreter ABI, and the resolved compiler (path plus
-``--version`` output), so switching ``CC`` or upgrading the toolchain
-rebuilds instead of silently reusing a stale ``.so``.
+source, the interpreter ABI, the resolved compiler (path plus
+``--version`` output), the numpy version and the bytes of the linked
+``libnpyrandom.a``, so switching ``CC``, upgrading the toolchain or
+upgrading numpy rebuilds instead of silently reusing a stale ``.so``.
 
 Loading is thread-safe: the first caller (from any thread — the
 orchestrator's thread backend probes this module concurrently)
@@ -122,23 +126,47 @@ def compiler_info() -> dict | None:
     return _compiler_info_cache
 
 
+def _numpy_random_lib() -> Path:
+    """numpy's bundled static ``npyrandom`` library (may not exist)."""
+    import numpy as np
+
+    return Path(np.__file__).resolve().parent / "random" / "lib" / "libnpyrandom.a"
+
+
 def _build_stamp(compiler: str) -> str:
     """Content hash naming the built artifact.
 
-    Covers the C source, the interpreter ABI, and the compiler
-    identity, so changing any of them builds (and loads) a fresh
-    ``.so`` instead of reusing one produced by different codegen.
+    Covers the C source, the interpreter ABI, the compiler identity,
+    the numpy version and the linked ``libnpyrandom.a``, so changing
+    any of them builds (and loads) a fresh ``.so`` instead of reusing
+    one produced by different codegen or a different jitter stream.
     """
+    import numpy as np
+
+    lib = _numpy_random_lib()
+    lib_bytes = lib.read_bytes() if lib.is_file() else b""
     payload = (
         _SOURCE.read_bytes()
         + sysconfig.get_python_version().encode()
         + _compiler_identity(compiler)
+        + np.__version__.encode()
+        + hashlib.sha1(lib_bytes).digest()
     )
     return hashlib.sha1(payload).hexdigest()[:16]
 
 
 def _compile(so_path: Path, compiler: str) -> bool:
     """Compile ``_hotpath.c`` into ``so_path``; False when impossible."""
+    import numpy as np
+
+    lib = _numpy_random_lib()
+    if not lib.is_file():
+        logger.warning(
+            "hotpath: numpy's random library %s is missing; "
+            "using the Python path",
+            lib,
+        )
+        return False
     include = sysconfig.get_paths()["include"]
     so_path.parent.mkdir(parents=True, exist_ok=True)
     tmp = so_path.with_suffix(f".{os.getpid()}.tmp.so")
@@ -149,9 +177,11 @@ def _compile(so_path: Path, compiler: str) -> bool:
         "-shared",
         "-ffp-contract=off",
         f"-I{include}",
+        f"-I{np.get_include()}",
         str(_SOURCE),
         "-o",
         str(tmp),
+        str(lib),
         "-lm",
     ]
     try:
@@ -174,6 +204,28 @@ def _compile(so_path: Path, compiler: str) -> bool:
     return True
 
 
+def native_jitter_args(jitter) -> tuple | None:
+    """Marshal a stock jitter model for the C hot loop's own draws.
+
+    Returns ``(capsule, sigma_ns, clip, block)`` for an exact
+    :class:`~repro.clocks.jitter.GaussianJitter` — the C loop then
+    draws each block from the jitter's bit generator with numpy's
+    ``random_normal``, byte-identical to ``GaussianJitter._refill`` —
+    or None when the model must stay on the per-block ``refill``
+    Python callback (a subclass or any other jitter model).
+    """
+    from repro.clocks.jitter import GaussianJitter
+
+    if type(jitter) is not GaussianJitter:
+        return None
+    return (
+        jitter._rng.bit_generator.capsule,
+        float(jitter.sigma_ns),
+        float(jitter._clip),
+        int(jitter._block),
+    )
+
+
 def native_controller_args(controller, mcd_config, frequency_scale) -> dict | None:
     """Marshal a stock Attack/Decay controller for the C hot loop.
 
@@ -192,7 +244,9 @@ def native_controller_args(controller, mcd_config, frequency_scale) -> dict | No
         return None
     import numpy as np
 
-    table = np.ascontiguousarray(frequency_scale.frequencies_mhz, dtype=np.float64)
+    # The shared scale's table is already a read-only contiguous float64
+    # array (np.linspace), which the C loop reads in place.
+    table = frequency_scale.frequencies_mhz
     return {
         "native_ctrl": 1,
         # Listing-1 operating point (fractions, not percent).

@@ -1,12 +1,13 @@
 """Tests for the frequency scale and the slewing regulator."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config.mcd import MCDConfig
 from repro.dvfs.regulator import RegulatorState, VoltageFrequencyRegulator
-from repro.dvfs.scale import FrequencyScale
+from repro.dvfs.scale import FrequencyScale, scale_for
 from repro.errors import RegulatorError
 
 
@@ -52,6 +53,45 @@ class TestFrequencyScale:
         config = MCDConfig()
         scale = FrequencyScale(config)
         assert scale.quantize(f) == pytest.approx(config.quantize_frequency(f), abs=1e-9)
+
+
+class TestSharedScale:
+    """One read-only table per MCDConfig, shared by every regulator."""
+
+    def test_cores_share_one_table(self):
+        from repro.config.processor import ProcessorConfig
+        from repro.sim.engine import scaled_mcd_config
+        from repro.uarch.core import CoreOptions, MCDCore
+        from repro.workloads.catalog import get_benchmark
+
+        trace = get_benchmark("adpcm").build_trace(scale=0.02)
+        cores = [
+            MCDCore(
+                processor=ProcessorConfig(),
+                mcd_config=scaled_mcd_config(),
+                trace=trace,
+                options=CoreOptions(mcd=True, seed=seed),
+            )
+            for seed in (1, 2)
+        ]
+        scales = {id(reg.scale) for core in cores for reg in core.regulators}
+        assert len(scales) == 1
+        assert cores[0].regulators[0].scale is scale_for(scaled_mcd_config())
+
+    def test_equal_configs_share_distinct_configs_do_not(self):
+        assert scale_for(MCDConfig()) is scale_for(MCDConfig())
+        assert scale_for(MCDConfig()) is not scale_for(
+            MCDConfig(frequency_points=160)
+        )
+
+    def test_table_is_read_only(self, mcd_config):
+        scale = scale_for(mcd_config)
+        with pytest.raises(ValueError):
+            scale.frequencies_mhz[0] = 1.0
+        with pytest.raises(ValueError):
+            scale.voltages_v[0] = 1.0
+        assert scale.frequencies_mhz.flags.c_contiguous
+        assert scale.frequencies_mhz.dtype == np.float64
 
 
 class TestRegulator:

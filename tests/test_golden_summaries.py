@@ -273,6 +273,17 @@ def test_closed_loop_goldens_hold_on_python_path_spotcheck():
         assert summarize(run_spec(spec)) == GOLDEN_CLOSED_LOOP[(benchmark, literal)]
 
 
+def test_closed_loop_goldens_hold_on_a_shared_frequency_scale():
+    """Runs that reuse the memoised FrequencyScale still hit the pins."""
+    from repro.dvfs.scale import scale_for
+
+    hits = scale_for.cache_info().hits
+    for _ in range(2):
+        spec = _closed_loop_spec("gcc", True)
+        assert summarize(run_spec(spec)) == GOLDEN_CLOSED_LOOP[("gcc", True)]
+    assert scale_for.cache_info().hits >= hits + 8  # 4 regulators x 2 cores
+
+
 def test_goldens_cover_both_modes_evenly():
     benchmarks = {b for b, _ in GOLDEN}
     assert len(benchmarks) == 6

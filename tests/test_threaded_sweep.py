@@ -11,11 +11,14 @@ that promise:
   one scenario matrix, asserting byte-identical result sets;
 * an N-thread stress test hammering one shared ``CompiledTrace`` with
   closed-loop runs, comparing summaries, controller diagnostics and
-  regulator statistics against the serial reference;
+  regulator statistics against the serial reference, plus jittered
+  open- and closed-loop runs where every thread draws its own jitter
+  stream in C;
 * unit coverage for the template lease, the process-wide trace cache
   (single-flight, LRU bound), the ``TraceStore`` column memo, the
   ``CacheStore`` memory front, ``workers='auto'`` resolution, backend
-  selection, and the compiler-identity build stamp.
+  selection, and the build stamp (compiler identity, numpy version,
+  linked ``libnpyrandom.a``).
 """
 
 from __future__ import annotations
@@ -111,10 +114,19 @@ class TestBackendDeterminism:
 # ---------------------------------------------------------------------------
 
 
-def _closed_loop_fingerprint(trace, path: str, seed: int = 1):
-    """One warmed closed-loop run over ``trace``; full observable state."""
+def _closed_loop_fingerprint(
+    trace, path: str, seed: int = 1, closed_loop: bool = True,
+    jitter_block: int | None = None,
+):
+    """One warmed MCD run over ``trace``; full observable state.
+
+    ``jitter_block`` shrinks every domain's jitter block so the run
+    draws thousands of blocks (in C, on the native path).
+    """
     bench = get_benchmark("adpcm")
-    controller = AttackDecayController(SCALED_OPERATING_POINT)
+    controller = (
+        AttackDecayController(SCALED_OPERATING_POINT) if closed_loop else None
+    )
     core = MCDCore(
         processor=ProcessorConfig(),
         mcd_config=scaled_mcd_config(),
@@ -126,11 +138,16 @@ def _closed_loop_fingerprint(trace, path: str, seed: int = 1):
             interval_instructions=bench.interval_instructions,
         ),
     )
+    if jitter_block is not None:
+        for clock in core.clocks:
+            clock.jitter._block = jitter_block
     core.warm_up(trace, limit=trace.total_instructions)
     result = core.run(path=path)
     return (
         summarize(result),
-        {d: dataclasses.asdict(s) for d, s in controller.states.items()},
+        {}
+        if controller is None
+        else {d: dataclasses.asdict(s) for d, s in controller.states.items()},
         [dataclasses.asdict(r.stats) for r in core.regulators],
     )
 
@@ -182,6 +199,49 @@ class TestSharedTraceStress:
             assert outcome == reference, f"thread {i} diverged on {path} path"
         # The shared templates must be returned once every lease ends.
         assert shared_trace._templates_leased is False
+
+    @pytest.mark.skipif(native.load_hotpath() is None, reason="no native loop")
+    @pytest.mark.parametrize("closed_loop", [False, True], ids=["open", "attack_decay"])
+    def test_concurrent_jittered_runs_match_serial(self, shared_trace, closed_loop):
+        """Each thread draws its own jitter stream in C, GIL released.
+
+        Distinct seeds give every thread distinct generators; 7-sample
+        blocks make each run draw thousands of blocks while the other
+        threads do the same.  Every thread must match the serial run
+        of its own seed.
+        """
+        threads = 6
+
+        def fingerprint(seed):
+            return _closed_loop_fingerprint(
+                shared_trace, "native", seed=seed, closed_loop=closed_loop,
+                jitter_block=7,
+            )
+
+        references = [fingerprint(1 + i) for i in range(threads)]
+        outcomes: list = [None] * threads
+        barrier = threading.Barrier(threads)
+
+        def worker(i: int) -> None:
+            try:
+                barrier.wait()
+                outcomes[i] = fingerprint(1 + i)
+            except BaseException as exc:  # noqa: BLE001 - surfaced below
+                outcomes[i] = exc
+
+        pool = [
+            threading.Thread(target=worker, args=(i,)) for i in range(threads)
+        ]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join()
+        for i, outcome in enumerate(outcomes):
+            assert not isinstance(outcome, BaseException), (
+                f"thread {i} raised: {outcome!r}"
+            )
+            assert outcome == references[i], f"thread {i} diverged"
+        assert len({ref[0] for ref in references}) > 1, "seeds did not matter"
 
 
 class TestTemplateLease:
@@ -453,6 +513,35 @@ class TestBuildStamp:
         )
         assert native._build_stamp("ccA") != native._build_stamp("ccB")
         assert native._build_stamp("ccA") == native._build_stamp("ccA")
+
+    def test_stamp_tracks_linked_numpy_random_lib(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(native, "_compiler_identity", lambda compiler: b"cc")
+        lib_a = tmp_path / "a" / "libnpyrandom.a"
+        lib_b = tmp_path / "b" / "libnpyrandom.a"
+        for lib, payload in ((lib_a, b"archive A"), (lib_b, b"archive B")):
+            lib.parent.mkdir()
+            lib.write_bytes(payload)
+        monkeypatch.setattr(native, "_numpy_random_lib", lambda: lib_a)
+        stamp_a = native._build_stamp("cc")
+        monkeypatch.setattr(native, "_numpy_random_lib", lambda: lib_b)
+        assert native._build_stamp("cc") != stamp_a
+
+    def test_stamp_tracks_numpy_version(self, monkeypatch):
+        import numpy as np
+
+        monkeypatch.setattr(native, "_compiler_identity", lambda compiler: b"cc")
+        stamp = native._build_stamp("cc")
+        monkeypatch.setattr(np, "__version__", np.__version__ + ".post1")
+        assert native._build_stamp("cc") != stamp
+
+    def test_compile_names_missing_numpy_random_lib(
+        self, monkeypatch, tmp_path, caplog
+    ):
+        missing = tmp_path / "nowhere" / "libnpyrandom.a"
+        monkeypatch.setattr(native, "_numpy_random_lib", lambda: missing)
+        with caplog.at_level("WARNING", logger=native.logger.name):
+            assert native._compile(tmp_path / "x.so", "cc") is False
+        assert str(missing) in caplog.text
 
     def test_identity_includes_resolved_path_and_banner(self):
         compiler = native._resolve_compiler()
