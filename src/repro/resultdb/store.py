@@ -69,7 +69,7 @@ class StoredRun:
     """One immutable benchmark run in the result database.
 
     ``metrics`` holds the flat numeric summary the query/gate layers
-    operate on (e.g. ``native_vs_python``, ``compiled_ips``);
+    operate on (e.g. ``native_vs_generator``, ``compiled_ips``);
     ``payload`` keeps the benchmark's full artifact (per-benchmark
     rows, knobs) for forensics.  Everything else is provenance.
     """

@@ -5,14 +5,15 @@ benchmark, processor/MCD configuration, clocking mode, controller — and
 :func:`run_spec` executes it.  Specs are deterministic: the same spec
 always produces the same :class:`~repro.uarch.core.CoreResult`.
 
-By default a spec runs over the benchmark's *compiled* trace
+A spec runs over the benchmark's *compiled* trace
 (:mod:`repro.uarch.compiled_trace`): the workload is generated once,
 content-hash-cached on disk next to the experiment result cache, and
 every subsequent run of the same (benchmark, scale, seed) — across
 processes, orchestrator workers and sessions — reuses the columnar
-form.  The core's batched fast path over it is byte-identical to the
-per-instruction generator path (``compiled=False``), just faster; see
-``benchmarks/bench_engine_hotpath.py`` for the measured ratio.
+form.  The native C loop over it is byte-identical to the
+per-instruction generator path (``path="generator"``), just faster;
+see ``benchmarks/bench_engine_hotpath.py`` for the measured ratio.
+Without the C loop a compiled trace runs through the generator loop.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def trace_cache_entries() -> int:
     """Capacity of the in-process compiled-trace cache.
 
     ``REPRO_TRACE_CACHE`` overrides the default of 8 entries (a
-    compiled trace is tens of MB of column lists at full scale, so the
+    compiled trace is tens of MB of columns at full scale, so the
     bound is deliberately modest; raise it for wide thread-pool sweeps
     over many distinct benchmarks on a big-memory host).
     """
@@ -164,8 +165,7 @@ def compiled_trace_for(
 
     Thread-safe: concurrent callers for one trace wait on a single
     build, and the returned instance is safely shared across threads
-    (the native path treats it read-only; the batched Python path
-    leases or copies the mutable templates).
+    (every execution path treats it read-only).
     """
     key = _trace_store_key(bench, scale, seed_offset)
 
@@ -250,17 +250,12 @@ class SimulationSpec:
     warmup:
         Replay the head of the trace through predictor/caches before
         timing, approximating the paper's warm mid-execution windows.
-    compiled:
-        Run over the compiled columnar trace (default; cached on disk,
-        batched core fast path).  False forces the per-instruction
-        generator reference path — byte-identical results, useful for
-        equivalence tests and the hot-path benchmark.
     path:
-        Explicit execution-path selection: ``"auto"`` (default) picks
-        the fastest available; ``"native"`` requires the C loop;
-        ``"python"`` forces the batched Python loop; ``"generator"``
-        forces the per-instruction reference path (implies a generator
-        trace, regardless of ``compiled``).  All paths are
+        Explicit execution-path selection: ``"auto"`` (default) runs
+        the native C loop over the compiled trace when it loads, else
+        the generator loop over the same compiled trace; ``"native"``
+        requires the C loop; ``"generator"`` forces the per-instruction
+        reference path over the lazy generator trace.  All paths are
         byte-identical — this knob exists for equivalence tests and
         the path benchmarks (``benchmarks/bench_control_loop.py``).
     memory_tracks_global:
@@ -284,7 +279,6 @@ class SimulationSpec:
     record_intervals: bool = False
     warmup: bool = True
     memory_tracks_global: bool = False
-    compiled: bool = True
     path: str = "auto"
     processor: ProcessorConfig = field(default_factory=ProcessorConfig)
     mcd_config: MCDConfig = field(default_factory=scaled_mcd_config)
@@ -292,13 +286,13 @@ class SimulationSpec:
 
 def _build_core(spec: SimulationSpec) -> tuple[MCDCore, object]:
     """Build the (cold) core and trace one spec describes."""
-    if spec.path not in ("auto", "native", "python", "generator"):
+    if spec.path not in ("auto", "native", "generator"):
         raise ExperimentError(
             f"unknown execution path {spec.path!r}; "
-            "expected auto, native, python or generator"
+            "expected auto, native or generator"
         )
     bench = get_benchmark(spec.benchmark)
-    if spec.compiled and spec.path != "generator":
+    if spec.path != "generator":
         line_shift = spec.processor.line_bytes.bit_length() - 1
         trace = compiled_trace_for(bench, scale=spec.scale, line_shift=line_shift)
     else:
@@ -387,7 +381,7 @@ def run_specs_batch(specs: list[SimulationSpec]) -> list[CoreResult]:
       than the walk).
 
     Anything that cannot take the native compiled path (no C loop,
-    generator/python specs, non-columnar traces) and any error during
+    generator specs) and any error during
     batch assembly or execution falls back to per-run
     :func:`run_spec` execution, which re-raises per-spec errors with
     their normal semantics.
@@ -405,11 +399,9 @@ def run_specs_batch(specs: list[SimulationSpec]) -> list[CoreResult]:
         finishes = []
         warm_snapshots: dict = {}
         for spec in specs:
-            if spec.path not in ("auto", "native") or not spec.compiled:
+            if spec.path == "generator":
                 raise _NotBatchable
             core, trace = _build_core(spec)
-            if core.compiled is None or not core.compiled.arrays:
-                raise _NotBatchable
             if spec.warmup:
                 if trace.total_instructions < _WARM_SHARE_MIN_EVENTS:
                     core.warm_up(trace, limit=trace.total_instructions)

@@ -1,9 +1,9 @@
-/* Native batched core loop for compiled traces.
+/* Native core loop for compiled traces.
  *
- * A 1:1 translation of MCDCore._run_compiled's event sequence (which is
- * itself byte-identical to the pure-Python reference path): same edge
- * selection, same regulator calls, same jitter-stream consumption, same
- * floating-point accumulation order.  All arithmetic is IEEE double
+ * A 1:1 translation of the event sequence of MCDCore._run_generator,
+ * the Python reference loop: same edge selection, same regulator
+ * calls, same jitter-stream consumption, same floating-point
+ * accumulation order.  All arithmetic is IEEE double
  * precision; the build disables FP contraction (-ffp-contract=off) so
  * a*b+c rounds exactly as CPython rounds it.
  *
@@ -1080,7 +1080,7 @@ compute_run(RunState *rs, PyThreadState **tstate_p)
                     }
                     /* Pick up controller-applied regulator changes.
                      * NOTE: vscale deliberately stays the value bound
-                     * at the top of this cycle, like the Python paths. */
+                     * at the top of this cycle, like the Python path. */
                     for (int i = 0; i < 4; i++) {
                         slewing[i] = reg_cur[i] != reg_tgt[i];
                         if (reg_cur[i] != cur_freq[i]) {
@@ -1964,7 +1964,7 @@ static PyMethodDef hotpath_methods[] = {
 
 static struct PyModuleDef hotpath_module = {
     PyModuleDef_HEAD_INIT, "_hotpath",
-    "Native batched MCD core loop (byte-identical to the Python paths).", -1,
+    "Native MCD core loop (byte-identical to the Python reference loop).", -1,
     hotpath_methods,
 };
 

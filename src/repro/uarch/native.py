@@ -1,11 +1,11 @@
 """Build/load glue for the native hot-path extension.
 
-The batched core loop exists three times, in strictly decreasing
-portability and increasing speed: the generator reference path, the
-pure-Python compiled path, and the C translation in ``_hotpath.c``.
-This module owns the third: it compiles the C source into a shared
-object on first use (plain ``cc -O2 -fPIC -shared``, no build system)
-and loads it as a CPython extension module.  The build links numpy's
+The core loop exists twice: the generator reference path in Python,
+which runs anywhere, and its C translation in ``_hotpath.c``, which
+runs over compiled traces.  This module owns the second: it compiles
+the C source into a shared object on first use (plain ``cc -O2 -fPIC
+-shared``, no build system) and loads it as a CPython extension
+module.  The build links numpy's
 bundled ``numpy/random/lib/libnpyrandom.a`` (shipped with every numpy
 wheel, found through the installed package) so the C loop can draw
 Gaussian clock jitter with numpy's own ``random_normal``.
@@ -29,7 +29,8 @@ stage, so concurrent runs over it genuinely overlap.
 
 Everything degrades gracefully: no compiler, a failed build, or
 ``REPRO_NATIVE=0`` simply mean :func:`load_hotpath` returns ``None``
-and the core stays on the pure-Python compiled path.
+and the core runs the generator reference loop over the compiled
+trace.
 """
 
 from __future__ import annotations
@@ -163,7 +164,7 @@ def _compile(so_path: Path, compiler: str) -> bool:
     if not lib.is_file():
         logger.warning(
             "hotpath: numpy's random library %s is missing; "
-            "using the Python path",
+            "using the generator path",
             lib,
         )
         return False
@@ -193,7 +194,7 @@ def _compile(so_path: Path, compiler: str) -> bool:
         return False
     if proc.returncode != 0:
         logger.warning(
-            "hotpath: compile failed; using the Python path\n%s", proc.stderr
+            "hotpath: compile failed; using the generator path\n%s", proc.stderr
         )
         try:
             tmp.unlink()
@@ -328,7 +329,7 @@ def load_hotpath():
             compiler = _resolve_compiler()
             if compiler is None:
                 logger.info(
-                    "hotpath: no C compiler found; using the Python path"
+                    "hotpath: no C compiler found; using the generator path"
                 )
             else:
                 so_path = _BUILD_DIR / f"_hotpath-{_build_stamp(compiler)}.so"
@@ -342,7 +343,7 @@ def load_hotpath():
                     _cached = module
         except Exception as exc:  # noqa: BLE001 - any failure means fallback
             logger.warning(
-                "hotpath: load failed (%s); using the Python path", exc
+                "hotpath: load failed (%s); using the generator path", exc
             )
             _cached = None
         _attempted = True

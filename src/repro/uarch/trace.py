@@ -6,7 +6,7 @@ produced lazily by workload generators and consumed once by the core's
 *reference* path, so arbitrarily long runs use bounded memory.  The
 production path compiles the same stream into whole-trace columnar
 form instead (:mod:`repro.uarch.compiled_trace`), trading memory for
-the batched fast path; both views come from one generator routine and
+the native loop; both views come from one generator routine and
 are identical instruction for instruction.
 
 Per-instruction fields

@@ -12,8 +12,9 @@ module locks both properties down:
   controller variants, mixed seeds) executed through
   :func:`~repro.sim.engine.run_specs_batch` at batch sizes {1, 3,
   matrix} and compared summary-for-summary against per-run
-  :func:`~repro.sim.engine.run_spec`, plus the batched-Python and
-  generator reference paths (>= 30 compared cases in total);
+  :func:`~repro.sim.engine.run_spec`, plus the generator reference
+  path over the lazy trace and over the compiled trace (>= 30 compared
+  cases in total);
 * an orchestrator-level differential: serial / thread / process
   backends x batch sizes {1, 3, matrix, > matrix}, fork and spawn,
   all equal to the serial per-run reference, with per-scenario error
@@ -50,7 +51,7 @@ from repro.sim.engine import (
     run_spec,
     run_specs_batch,
 )
-from repro.uarch import shared_trace
+from repro.uarch import native, shared_trace
 from repro.uarch.compiled_trace import _BASE_COLUMNS
 from repro.workloads.catalog import get_benchmark
 
@@ -85,7 +86,7 @@ def _summary_dict(result) -> dict:
 
 
 def _spec(benchmark: str, *, seed: int, literal: bool, controller: bool = True,
-          path: str = "auto", compiled: bool = True) -> SimulationSpec:
+          path: str = "auto") -> SimulationSpec:
     """One closed-loop spec; controllers are built fresh per spec."""
     ctrl = (
         AttackDecayController(AttackDecayParams(), literal_listing=literal)
@@ -98,7 +99,6 @@ def _spec(benchmark: str, *, seed: int, literal: bool, controller: bool = True,
         scale=SCALE,
         seed=seed,
         path=path,
-        compiled=compiled,
     )
 
 
@@ -152,29 +152,31 @@ class TestBatchedEngineDifferential:
         # The harness promises a >= 30-case differential; hold it to that.
         assert compared >= 30
 
-    def test_python_and_generator_paths_match(self, reference):
+    def test_python_and_generator_paths_match(self, reference, monkeypatch):
+        """The generator path, and the pure-Python fallback (no native
+        loop: the generator loop over the compiled trace), match."""
         cases = _fuzz_matrix()
         for index in (0, 1, 7):  # plain, literal, uncontrolled
-            python = _summary_dict(run_spec(_spec(**cases[index], path="python")))
             generator = _summary_dict(
-                run_spec(_spec(**cases[index], path="generator", compiled=False))
+                run_spec(_spec(**cases[index], path="generator"))
             )
-            assert python == reference[index]
             assert generator == reference[index]
+        # No C loop: auto runs the generator loop over the compiled trace.
+        monkeypatch.setattr(native, "load_hotpath", lambda: None)
+        for index in (0, 1, 7):
+            fallback = _summary_dict(run_spec(_spec(**cases[index])))
+            assert fallback == reference[index]
 
     def test_non_batchable_specs_fall_back(self):
         # Generator-path specs cannot take the native batch; the vector
         # must silently run per-spec with identical results.
         cell = [
-            _spec(benchmark="adpcm", seed=1, literal=False, path="generator",
-                  compiled=False),
-            _spec(benchmark="adpcm", seed=2, literal=False, path="generator",
-                  compiled=False),
+            _spec(benchmark="adpcm", seed=1, literal=False, path="generator"),
+            _spec(benchmark="adpcm", seed=2, literal=False, path="generator"),
         ]
         expected = [
             _summary_dict(run_spec(_spec(benchmark="adpcm", seed=seed,
-                                         literal=False, path="generator",
-                                         compiled=False)))
+                                         literal=False, path="generator")))
             for seed in (1, 2)
         ]
         assert [_summary_dict(r) for r in run_specs_batch(cell)] == expected
@@ -409,12 +411,8 @@ class TestSharedTraceSegments:
         descriptor = export_shared_trace(bench, scale=SCALE)
         shared = shared_trace.shared_columns(descriptor["key"])
         assert shared is not None
-        local_columns = (
-            local.kinds, local.src1, local.src2, local.pcs,
-            local.addrs, local.taken, local.targets,
-        )
-        for shared_col, local_col in zip(shared, local_columns):
-            assert shared_col.tolist() == list(local_col)
+        for shared_col, name in zip(shared, _BASE_COLUMNS):
+            assert shared_col.tolist() == local.arrays[name].tolist(), name
 
 
 class TestSweepLeavesNoSegments:

@@ -1,7 +1,8 @@
 """Compiled-trace correctness: representation, store, and equivalence.
 
-The load-bearing guarantee of the trace compilation layer is that the
-batched core paths are *byte-identical* to the per-instruction
+The load-bearing guarantee of the trace compilation layer is that a
+core over a compiled trace — native C loop, or the generator loop when
+the C loop is unavailable — is *byte-identical* to the per-instruction
 generator reference path — every benchmark, every clocking mode, every
 execution backend.  These tests pin that, plus the columnar
 representation itself and the on-disk store.
@@ -9,6 +10,7 @@ representation itself and the on-disk store.
 
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from repro.config.algorithm import SCALED_OPERATING_POINT
@@ -52,8 +54,8 @@ def _run(trace, bench, mcd=True, controller=True, record=False):
 
 
 @pytest.fixture
-def python_path(monkeypatch):
-    """Force the pure-Python batched loop (no native extension)."""
+def no_native(monkeypatch):
+    """Disable the native extension: compiled cores take the generator loop."""
     monkeypatch.setattr(native, "_cached", None)
     monkeypatch.setattr(native, "_attempted", True)
     yield
@@ -93,16 +95,30 @@ class TestRepresentation:
         expect = [1] + [int(lines[i] != lines[i - 1]) for i in range(1, compiled.n)]
         assert compiled.newline == expect
 
-    def test_templates_resolve_dependencies(self):
+    def test_pointers_resolve_dependencies(self):
         trace = get_benchmark("gsm").build_trace(scale=SCALE)
         compiled = compile_trace(trace, LINE_SHIFT)
-        for i in (0, 1, len(compiled.templates) - 1):
-            seq, kind, t0, p1, p2, addr, retry = compiled.templates[i]
-            assert seq == i + 1
-            assert kind == compiled.kinds[i]
-            assert addr == compiled.addrs[i]
-            s1 = compiled.src1[i]
-            assert p1 == (seq - s1 if 0 < s1 <= i else 0)
+        arrays = compiled.arrays
+        src1 = arrays["src1"].tolist()
+        src2 = arrays["src2"].tolist()
+        p1 = arrays["p1"].tolist()
+        p2 = arrays["p2"].tolist()
+        assert any(p1) and any(p2)
+        for i in range(compiled.n):
+            seq = i + 1
+            assert p1[i] == (seq - src1[i] if 0 < src1[i] <= i else 0)
+            assert p2[i] == (seq - src2[i] if 0 < src2[i] <= i else 0)
+
+    def test_arrays_are_int64_and_blocks_are_private(self):
+        trace = get_benchmark("adpcm").build_trace(scale=SCALE)
+        compiled = compile_trace(trace, LINE_SHIFT)
+        assert all(a.dtype == np.int64 for a in compiled.arrays.values())
+        assert all(len(a) == compiled.n for a in compiled.arrays.values())
+        (first,) = compiled.blocks()
+        (second,) = compiled.blocks()
+        assert first == second
+        assert first.kinds is not second.kinds
+        assert first.src1 == trace_columns(trace)[1].tolist()
 
     def test_line_shift_mismatch_rejected(self):
         trace = get_benchmark("adpcm").build_trace(scale=SCALE)
@@ -127,7 +143,9 @@ class TestTraceStore:
         assert loaded.addrs == fresh.addrs
         assert loaded.taken == fresh.taken
         assert loaded.newline == fresh.newline
-        assert loaded.templates == fresh.templates
+        assert loaded.arrays.keys() == fresh.arrays.keys()
+        for name, column in fresh.arrays.items():
+            assert np.array_equal(loaded.arrays[name], column), name
 
     def test_disabled_store_misses(self, tmp_path):
         store = TraceStore(tmp_path, enabled=False)
@@ -277,7 +295,7 @@ class TestEquivalence:
         assert asdict(fast) == asdict(reference)
 
     @pytest.mark.parametrize("name", ["epic", "mcf"])
-    def test_python_batched_path_identical(self, name, python_path):
+    def test_generator_fallback_identical(self, name, no_native):
         bench = get_benchmark(name)
         trace = bench.build_trace(scale=SCALE)
         compiled = compile_trace(trace, LINE_SHIFT)
@@ -311,8 +329,8 @@ class TestEquivalence:
         context = ExecutionContext(scale=SCALE, use_cache=False)
         spec = factory(context, "epic", scale=SCALE, seed=1, **parsed)
         assert isinstance(spec, SimulationSpec)
-        fast = summarize(run_spec(replace(spec, compiled=True))).to_dict()
-        reference = summarize(run_spec(replace(spec, compiled=False))).to_dict()
+        fast = summarize(run_spec(replace(spec, path="auto"))).to_dict()
+        reference = summarize(run_spec(replace(spec, path="generator"))).to_dict()
         assert fast == reference
 
 
@@ -327,6 +345,6 @@ class TestCompiledTraceFor:
     def test_run_spec_uses_compiled_by_default(self):
         fast = run_spec(SimulationSpec(benchmark="adpcm", scale=SCALE))
         reference = run_spec(
-            SimulationSpec(benchmark="adpcm", scale=SCALE, compiled=False)
+            SimulationSpec(benchmark="adpcm", scale=SCALE, path="generator")
         )
         assert asdict(fast) == asdict(reference)

@@ -7,9 +7,10 @@ the *exact* floats the simulator produced when these goldens were
 recorded.  A second table pins closed-loop Attack/Decay runs — three
 benchmarks x both ``literal_listing`` variants at a second seed — on
 the configuration where the native loop runs the controller inside C,
-locking the Listing-1 migration to exact numbers.  Any change to the generator, the trace compiler, any of the
-three core paths, the energy accounting or the controller that moves a
-result — even in the last ulp — fails here, turning silent drift into
+locking the Listing-1 migration to exact numbers.  Any change to the
+generator, the trace compiler, either core path (native C or the
+generator reference loop), the energy accounting or the controller
+that moves a result — even in the last ulp — fails here, turning silent drift into
 an explicit decision: either fix the regression or re-record the
 goldens in the same commit that justifies the change.
 
@@ -20,6 +21,8 @@ approximation.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
@@ -266,11 +269,27 @@ def test_closed_loop_goldens_cover_both_listing_variants():
 
 
 def test_closed_loop_goldens_hold_on_python_path_spotcheck():
-    """The closed-loop pins hold with the controller back in Python."""
+    """The closed-loop pins hold with the controller back in Python.
+
+    Recording intervals sends the native loop through the per-interval
+    ``rollover`` callback, so the Python controller drives it; the
+    generator path always runs the controller in Python.
+    """
+    from repro.uarch.native import load_hotpath
+
+    paths = ["generator"] + (["native"] if load_hotpath() is not None else [])
     for benchmark, literal in (("adpcm", True), ("mcf", False)):
-        spec = _closed_loop_spec(benchmark, literal)
-        spec.path = "python"
-        assert summarize(run_spec(spec)) == GOLDEN_CLOSED_LOOP[(benchmark, literal)]
+        for path in paths:
+            spec = dataclasses.replace(
+                _closed_loop_spec(benchmark, literal),
+                path=path,
+                record_intervals=True,
+            )
+            result = run_spec(spec)
+            assert result.intervals, f"{path}: no interval was recorded"
+            assert summarize(result) == GOLDEN_CLOSED_LOOP[(benchmark, literal)], (
+                f"{benchmark}/literal_listing={literal} drifted on {path}"
+            )
 
 
 def test_closed_loop_goldens_hold_on_a_shared_frequency_scale():
@@ -296,5 +315,23 @@ def test_generator_path_matches_goldens_spotcheck():
     """The pinned numbers hold on the reference path too (not just compiled)."""
     for benchmark, mode in (("adpcm", "mcd"), ("epic", "sync")):
         spec = _spec(benchmark, mode)
-        spec.compiled = False
+        spec.path = "generator"
         assert summarize(run_spec(spec)) == GOLDEN[(benchmark, mode)]
+
+
+def test_goldens_hold_without_the_native_loop(monkeypatch):
+    """With no C loop, ``auto`` runs the generator loop over the compiled
+    trace — and every pin still holds."""
+    from repro.uarch import native
+
+    monkeypatch.setattr(native, "load_hotpath", lambda: None)
+    for (benchmark, mode), expected in sorted(GOLDEN.items()):
+        assert summarize(run_spec(_spec(benchmark, mode))) == expected, (
+            f"{benchmark}/{mode} drifted on the generator fallback"
+        )
+    for (benchmark, literal), expected in sorted(GOLDEN_CLOSED_LOOP.items()):
+        actual = summarize(run_spec(_closed_loop_spec(benchmark, literal)))
+        assert actual == expected, (
+            f"{benchmark}/literal_listing={literal} drifted on the generator "
+            "fallback"
+        )

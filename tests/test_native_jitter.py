@@ -8,8 +8,8 @@ so these tests force the awkward cases:
 
 * tiny blocks (1 and 7 samples), so a run crosses thousands of block
   boundaries, at a clip that bites on about a third of the samples,
-  for open-loop and Attack/Decay runs, native == batched Python ==
-  generator reference;
+  for open-loop and Attack/Decay runs, native == generator loop over
+  the compiled trace == generator reference;
 * a native run with ``GaussianJitter._refill`` patched to raise still
   completes — it makes zero Python refill crossings;
 * a ``GaussianJitter`` subclass takes the ``refill`` bridge and still
@@ -62,11 +62,16 @@ def _run(
     controller: bool = False,
     jitter_cls: type = GaussianJitter,
     seed: int = 4,
+    compiled: bool = False,
 ) -> str:
-    """One MCD run with the jitter swapped in; its RunSummary as JSON."""
+    """One MCD run with the jitter swapped in; its RunSummary as JSON.
+
+    The trace is compiled unless ``path`` is ``"generator"``;
+    ``compiled=True`` runs the generator loop over a compiled trace.
+    """
     bench = get_benchmark(benchmark)
     trace = bench.build_trace(scale=SCALE)
-    if path != "generator":
+    if compiled or path != "generator":
         trace = compile_trace(trace, LINE_SHIFT)
     config = scaled_mcd_config()
     core = MCDCore(
@@ -88,7 +93,7 @@ def _run(
             clip_sigmas=CLIP_SIGMAS,
         )
     core.warm_up(trace, limit=trace.total_instructions)
-    result = core.run(path="auto" if path == "generator" else path)
+    result = core.run(path=path)
     return json.dumps(summarize(result).to_dict(), sort_keys=True)
 
 
@@ -106,7 +111,10 @@ def test_clip_takes_effect_at_test_sigma():
 @pytest.mark.parametrize("block", [1, 7])
 def test_tiny_blocks_match_generator(block, controller):
     reference = _run("generator", block=block, controller=controller)
-    assert _run("python", block=block, controller=controller) == reference
+    assert (
+        _run("generator", block=block, controller=controller, compiled=True)
+        == reference
+    )
     if native.load_hotpath() is not None:
         assert _run("native", block=block, controller=controller) == reference
 

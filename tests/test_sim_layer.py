@@ -39,7 +39,7 @@ class TestEngine:
         from repro.uarch.native import load_hotpath
 
         auto = summarize(run_spec(SimulationSpec(benchmark="adpcm", scale=SCALE)))
-        for path in ("generator", "python") + (
+        for path in ("generator",) + (
             ("native",) if load_hotpath() is not None else ()
         ):
             forced = summarize(
@@ -47,24 +47,36 @@ class TestEngine:
             )
             assert forced == auto, f"{path} path diverged from auto"
 
-    def test_generator_path_on_compiled_core_raises(self):
-        from repro.errors import SimulationError
-        from repro.sim.engine import compiled_trace_for, scaled_mcd_config
-        from repro.uarch.core import MCDCore
-        from repro.workloads.catalog import get_benchmark
-        from repro.config.processor import ProcessorConfig
+    @pytest.mark.parametrize("configuration", ["mcd", "attack_decay", "sync"])
+    @pytest.mark.parametrize("bench_name", ["adpcm", "gcc", "swim", "mcf", "epic"])
+    def test_generator_path_on_compiled_core_matches(self, bench_name, configuration):
+        """The reference loop over a CompiledTrace equals the generator-trace
+        run and the native run, byte for byte."""
+        from dataclasses import asdict
 
-        bench = get_benchmark("adpcm")
-        shift = ProcessorConfig().line_bytes.bit_length() - 1
-        core = MCDCore(
-            ProcessorConfig(),
-            scaled_mcd_config(),
-            compiled_trace_for(bench, scale=SCALE, line_shift=shift),
-        )
-        with pytest.raises(SimulationError, match="generator path"):
-            core.run(path="generator")
-        with pytest.raises(SimulationError, match="unknown execution path"):
-            core.run(path="warp")
+        from repro.sim.engine import _build_core
+        from repro.uarch.native import load_hotpath
+
+        def spec(path):
+            return SimulationSpec(
+                benchmark=bench_name,
+                mcd=configuration != "sync",
+                controller=(
+                    AttackDecayController(AttackDecayParams())
+                    if configuration == "attack_decay"
+                    else None
+                ),
+                scale=0.03,
+                path=path,
+            )
+
+        core, trace = _build_core(spec("auto"))
+        assert core.compiled is trace
+        core.warm_up(trace, limit=trace.total_instructions)
+        fallback = asdict(core.run(path="generator"))
+        assert fallback == asdict(run_spec(spec("generator")))
+        if load_hotpath() is not None:
+            assert fallback == asdict(run_spec(spec("native")))
 
     def test_python_path_on_generator_core_raises(self):
         from repro.errors import SimulationError
@@ -77,8 +89,21 @@ class TestEngine:
         core = MCDCore(
             ProcessorConfig(), scaled_mcd_config(), bench.build_trace(scale=SCALE)
         )
-        with pytest.raises(SimulationError, match="compiled trace"):
+        with pytest.raises(SimulationError, match="unknown execution path"):
             core.run(path="python")
+
+    def test_python_path_is_unknown(self):
+        """"python" names no execution path, on a spec or a compiled core."""
+        from repro.errors import SimulationError
+        from repro.sim.engine import _build_core
+
+        with pytest.raises(ExperimentError, match="unknown execution path"):
+            run_spec(SimulationSpec(benchmark="adpcm", scale=SCALE, path="python"))
+        core, _ = _build_core(SimulationSpec(benchmark="adpcm", scale=SCALE))
+        assert core.compiled is not None
+        for path in ("python", "warp"):
+            with pytest.raises(SimulationError, match="unknown execution path"):
+                core.run(path=path)
 
     def test_global_frequency_applies_to_all_domains(self):
         result = run_spec(

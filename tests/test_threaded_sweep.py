@@ -2,9 +2,9 @@
 
 The thread-pool backend only exists because three layers promise to be
 concurrency-safe: the C hot loop releases the GIL over reentrant
-per-call state, the compiled-trace layer shares instances across
-threads (native: read-only; Python path: leased templates), and the
-result cache front is write-through.  These tests hold each layer to
+per-call state, the compiled-trace layer shares read-only instances
+across threads (the generator fallback gets private block lists per
+run), and the result cache front is write-through.  These tests hold each layer to
 that promise:
 
 * a three-backend differential suite (serial / process / thread) over
@@ -13,8 +13,9 @@ that promise:
   closed-loop runs, comparing summaries, controller diagnostics and
   regulator statistics against the serial reference, plus jittered
   open- and closed-loop runs where every thread draws its own jitter
-  stream in C;
-* unit coverage for the template lease, the process-wide trace cache
+  stream in C, and the same stress on the generator loop over one shared
+  trace with the native loop disabled;
+* unit coverage for the process-wide trace cache
   (single-flight, LRU bound), the ``TraceStore`` column memo, the
   ``CacheStore`` memory front, ``workers='auto'`` resolution, backend
   selection, and the build stamp (compiler identity, numpy version,
@@ -39,7 +40,7 @@ from repro.experiments.orchestrator import default_backend
 from repro.metrics.summary import summarize
 from repro.sim.engine import TraceCache, compiled_trace_for, scaled_mcd_config
 from repro.uarch import native
-from repro.uarch.compiled_trace import TraceStore, compile_trace, trace_columns
+from repro.uarch.compiled_trace import TraceStore, trace_columns
 from repro.uarch.core import CoreOptions, MCDCore
 from repro.workloads.catalog import get_benchmark
 
@@ -170,10 +171,16 @@ class TestSharedTraceStress:
                     native.load_hotpath() is None, reason="no native loop"
                 ),
             ),
-            ("python", 4),
+            # Pure Python: the generator loop over the shared trace.
+            pytest.param("auto", 4, id="python-4"),
         ],
     )
-    def test_concurrent_runs_match_serial(self, shared_trace, path, threads):
+    def test_concurrent_runs_match_serial(
+        self, shared_trace, path, threads, monkeypatch
+    ):
+        if path == "auto":
+            # The no-compiler configuration.
+            monkeypatch.setattr(native, "load_hotpath", lambda: None)
         reference = _closed_loop_fingerprint(shared_trace, path)
         outcomes: list = [None] * threads
         barrier = threading.Barrier(threads)
@@ -197,8 +204,6 @@ class TestSharedTraceStress:
                 f"thread {i} raised: {outcome!r}"
             )
             assert outcome == reference, f"thread {i} diverged on {path} path"
-        # The shared templates must be returned once every lease ends.
-        assert shared_trace._templates_leased is False
 
     @pytest.mark.skipif(native.load_hotpath() is None, reason="no native loop")
     @pytest.mark.parametrize("closed_loop", [False, True], ids=["open", "attack_decay"])
@@ -242,38 +247,6 @@ class TestSharedTraceStress:
             )
             assert outcome == references[i], f"thread {i} diverged"
         assert len({ref[0] for ref in references}) > 1, "seeds did not matter"
-
-
-class TestTemplateLease:
-    def test_serial_lease_is_shared_and_returned(self):
-        bench = get_benchmark("adpcm")
-        compiled = compile_trace(bench.build_trace(scale=0.02), LINE_SHIFT)
-        templates, owned = compiled.lease_templates()
-        assert owned and templates is compiled.templates
-        compiled.release_templates(owned)
-        templates2, owned2 = compiled.lease_templates()
-        assert owned2 and templates2 is compiled.templates
-        compiled.release_templates(owned2)
-
-    def test_concurrent_lease_gets_equivalent_copy(self):
-        bench = get_benchmark("adpcm")
-        compiled = compile_trace(bench.build_trace(scale=0.02), LINE_SHIFT)
-        shared, owned = compiled.lease_templates()
-        copy, owned2 = compiled.lease_templates()
-        assert owned and not owned2
-        assert copy is not shared
-        assert copy == [
-            [row[0], row[1], 0.0, row[3], row[4], row[5], 0.0] for row in shared
-        ]
-        # Releasing a copy must not free the shared lease...
-        compiled.release_templates(owned2)
-        templates3, owned3 = compiled.lease_templates()
-        assert not owned3
-        # ...and releasing the owner must.
-        compiled.release_templates(owned)
-        templates4, owned4 = compiled.lease_templates()
-        assert owned4 and templates4 is compiled.templates
-        compiled.release_templates(owned4)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 The load-bearing property of the whole workload subsystem is that a
 *composed* workload — any combination of ``concat``/``interleave``/
 ``repeat``/``scale``/``perturb``/``splice`` over catalog entries — runs
-byte-identically through all three core execution paths (generator
-reference, batched Python, native C).  The fuzz harness below draws ~50
+byte-identically through all three ways the core can run it (the
+generator reference over the lazy trace, the generator loop over the
+compiled trace — the no-compiler fallback — and native C).  The fuzz harness below draws ~50
 seeded random compositions and asserts exactly that, so new operators
 or derived scenarios can never silently drift results between paths.
 """
@@ -256,10 +257,10 @@ class TestDifferentialFuzz:
 
         monkeypatch.setattr(native, "_cached", None)
         monkeypatch.setattr(native, "_attempted", True)
-        batched = _run_path(spec, compiled, mcd, controller, seed)
+        fallback = _run_path(spec, compiled, mcd, controller, seed)
         monkeypatch.undo()
 
-        results = {"generator": reference, "python": batched}
+        results = {"generator": reference, "fallback": fallback}
         if native.load_hotpath() is not None:
             results["native"] = _run_path(spec, compiled, mcd, controller, seed)
 
@@ -311,11 +312,10 @@ class TestClosedLoopNativeFuzz:
 
         monkeypatch.setattr(AttackDecayController, "on_interval", counting)
 
-        def run(path):
-            if path == "generator":
-                trace = spec.build_trace()
-            else:
-                trace = compile_trace(spec.build_trace(), LINE_SHIFT)
+        def run(path, compiled=True):
+            trace = spec.build_trace()
+            if compiled:
+                trace = compile_trace(trace, LINE_SHIFT)
             controller = AttackDecayController(
                 SCALED_OPERATING_POINT, literal_listing=literal
             )
@@ -331,7 +331,7 @@ class TestClosedLoopNativeFuzz:
                 ),
             )
             core.warm_up(trace, limit=trace.total_instructions)
-            result = core.run(path="auto" if path == "generator" else path)
+            result = core.run(path=path)
             return (
                 summarize(result),
                 {d: dataclasses.asdict(s) for d, s in controller.states.items()},
@@ -340,12 +340,12 @@ class TestClosedLoopNativeFuzz:
                 controller._smoothed_ipc,
             )
 
-        reference = run("generator")
+        reference = run("generator", compiled=False)
         assert calls["n"] > 0, f"case {case}: no control intervals exercised"
         calls["n"] = 0
-        batched = run("python")
+        fallback = run("generator")
         assert calls["n"] > 0
-        assert batched == reference, f"case {case}: python path diverged"
+        assert fallback == reference, f"case {case}: generator fallback diverged"
         if native.load_hotpath() is not None:
             calls["n"] = 0
             native_run = run("native")
