@@ -67,10 +67,11 @@ SWEEP_SEEDS = [1, 2]
 #: backend on the closed-loop sweep at >= FLOOR_WORKERS workers.
 THREAD_FLOOR = 1.5
 #: Acceptance floor: batched process-backend throughput over serial.
-#: Binds on multi-core hosts (CI runners), where batch cells plus
-#: shared-memory traces must at least pay for the pool's fixed costs;
-#: on a single core a pool can only ever approach serial from below,
-#: so the floor is skipped there.
+#: Binds on multi-core hosts (CI runners), where batch cells (one
+#: GIL-free native entry and one warm-up per cell) plus the workers'
+#: fork-inherited trace cache and on-disk trace store must at least pay
+#: for the pool's fixed costs; on a single core a pool can only ever
+#: approach serial from below, so the floor is skipped there.
 PROCESS_FLOOR = 1.0
 FLOOR_WORKERS = 4
 

@@ -20,7 +20,6 @@ import logging
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.campaigns.journal import CampaignJournal, JournalState
 from repro.campaigns.spec import CampaignSpec
@@ -123,7 +122,6 @@ class CampaignRunner:
         self,
         resume: bool = False,
         force: bool = False,
-        on_result: Callable[[int, RunOutcome], None] | None = None,
         bus: EventBus | None = None,
     ) -> CampaignReport:
         """Execute the campaign (or what remains of it).
@@ -141,10 +139,9 @@ class CampaignRunner:
         ``CellFinished``/``CellFailed`` through it.  Additional
         subscribers on a caller-supplied bus (progress printers, the
         serve daemon's stream buffers) observe exactly the journalled
-        stream.  ``on_result`` still fires after each cell is
-        journalled (progress displays; an exception it raises cancels
-        the campaign like Ctrl-C, which the interrupt tests exploit) —
-        the same lever a raising subscriber has.
+        stream; one subscribed before the run sees each event before
+        it is journalled, and an exception it raises cancels the
+        campaign like Ctrl-C.
 
         A :class:`KeyboardInterrupt` propagates to the caller *after*
         the backends cancel and the journal holds every completed cell;
@@ -198,8 +195,6 @@ class CampaignRunner:
                 self.journal.record(index, outcome)
                 outcomes[index] = outcome
                 executed += 1
-                if on_result is not None:
-                    on_result(index, outcome)
 
             events = bus if bus is not None else EventBus()
             job_id = f"campaign:{self.spec.name}"

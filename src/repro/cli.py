@@ -48,7 +48,7 @@ Commands
 Exit codes follow one convention across verbs: 0 success, 1 completed
 with failures (failed runs, quarantined cells, regressed metrics), 2
 usage/configuration errors, 130 interrupted by Ctrl-C (after
-checkpointing progress and releasing shared memory).
+checkpointing progress and stopping the worker pool).
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from repro.cli_campaign import _interrupt_cleanup, register_campaign_parser
+from repro.cli_campaign import register_campaign_parser
 from repro.cli_serve import register_serve_parser
 from repro.config.algorithm import AttackDecayParams, SCALED_OPERATING_POINT
 from repro.control.hardware_cost import estimate_attack_decay_hardware
@@ -775,9 +775,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except KeyboardInterrupt:
         # One boundary for every verb: no raw traceback on Ctrl-C.
         # The orchestrator has already cancelled its backends by the
-        # time the interrupt propagates here; release any exported
-        # shared-memory segments and exit with the SIGINT convention.
-        _interrupt_cleanup()
+        # time the interrupt propagates here; exit with the SIGINT
+        # convention.
         print(f"\n{args.command}: interrupted", file=sys.stderr)
         return 130
 

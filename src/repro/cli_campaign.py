@@ -16,25 +16,6 @@ import sys
 from repro.errors import CampaignError, ExperimentError
 
 
-def _interrupt_cleanup() -> None:
-    """Synchronous shared-memory teardown for the Ctrl-C path.
-
-    The orchestrator's backends have already cancelled their work by
-    the time an interrupt reaches the CLI; what can remain are exported
-    ``/dev/shm`` trace segments whose atexit backstop only fires at
-    interpreter exit — too late when the CLI is embedded in a larger
-    process, and worth doing eagerly even when it is not.
-    """
-    from repro.uarch.shared_trace import emergency_cleanup
-
-    try:
-        emergency_cleanup()
-    except Exception:  # noqa: BLE001 - never mask the 130 exit
-        logging.getLogger(__name__).warning(
-            "shared-memory cleanup failed during interrupt", exc_info=True
-        )
-
-
 def _campaign_dry_run(runner) -> int:
     """Print the expanded cell plan without running anything."""
     from repro.experiments import Orchestrator
@@ -192,10 +173,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         print(f"campaign: error: {exc}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:
-        # Completed cells are already durably journalled; release the
-        # shared-memory segments now (the atexit guard never runs if a
-        # parent loop keeps this interpreter alive) and exit 130.
-        _interrupt_cleanup()
+        # Completed cells are already durably journalled; exit 130.
         print(
             f"\ncampaign: interrupted — progress checkpointed in "
             f"{spec.journal_path}; continue with "

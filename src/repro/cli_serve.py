@@ -54,10 +54,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         await server.serve_forever()
 
     # A daemon must die cleanly on SIGTERM (systemd stop, docker stop,
-    # CI teardown) exactly like Ctrl-C: cancel live jobs, release
-    # shared memory, exit 130.  Routing it through KeyboardInterrupt
-    # shares the handler below.  Shells also start background children
-    # with SIGINT ignored, so restore it explicitly.
+    # CI teardown) exactly like Ctrl-C: cancel live jobs, exit 130.
+    # Routing it through KeyboardInterrupt shares the handler below.
+    # Shells also start background children with SIGINT ignored, so
+    # restore it explicitly.
     def _terminate(signum, frame):
         raise KeyboardInterrupt
 
@@ -67,9 +67,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         asyncio.run(run())
     except KeyboardInterrupt:
         manager.shutdown()
-        from repro.cli_campaign import _interrupt_cleanup
-
-        _interrupt_cleanup()
         print("\nserve: interrupted", file=sys.stderr)
         return 130
     except OSError as exc:  # bind failures: address in use, bad host

@@ -11,12 +11,11 @@ Delivery contract
   publishing thread**, in subscription order.  There is no queue: when
   ``publish`` returns, every subscriber has seen the event.  This is
   what lets the campaign journal fsync a cell *before* the orchestrator
-  announces the next one — the same durability the old ``on_result``
-  closure had.
+  announces the next one.
 * A subscriber exception **propagates to the publisher**.  That is a
   feature, not a hazard: it is exactly how a checkpointing subscriber
   cancels a sweep (the orchestrator treats it like Ctrl-C — backends
-  cancel, shared memory unlinks, the exception keeps propagating).
+  cancel, the exception keeps propagating).
   Subscribers that must never disturb execution (progress printers,
   stream buffers) catch their own errors.
 * Subscribe/unsubscribe are safe from any thread, including from

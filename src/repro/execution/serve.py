@@ -41,7 +41,7 @@ Endpoints
 ``DELETE /jobs/{id}``
     Fire the job's cancel token; the stream terminates with
     ``job_cancelled`` once the orchestrator unwinds (backends
-    cancelled, shared memory unlinked).
+    cancelled).
 
 Concurrent identical submissions share one warm execution through the
 manager's dedup context — see :mod:`repro.execution.jobs`.

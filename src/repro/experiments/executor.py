@@ -483,24 +483,6 @@ class ExecutionContext:
 _WORKER_CONTEXTS: dict[tuple, ExecutionContext] = {}
 
 
-def execute_scenario(
-    scenario: Scenario,
-    cache_dir: str | None,
-    use_cache: bool | None,
-    scale: float,
-    seed: int,
-) -> RunOutcome:
-    """Worker entry point: run one scenario in this process's context.
-
-    Module-level (picklable) so :mod:`multiprocessing` pools can map
-    over the run matrix; every failure is captured into the outcome so
-    one bad run never takes the pool down.  Contexts are memoised per
-    (cache_dir, use_cache, scale, seed) so a worker recomputes
-    profiling runs at most once, not once per scenario.
-    """
-    return _worker_context(cache_dir, use_cache, scale, seed).run_isolated(scenario)
-
-
 def execute_scenario_batch(
     scenarios: list[Scenario],
     cache_dir: str | None,
@@ -510,24 +492,18 @@ def execute_scenario_batch(
 ) -> list[RunOutcome]:
     """Worker entry point: run one batch cell in this process's context.
 
-    The batched sibling of :func:`execute_scenario` — one pool task per
-    cell instead of one per scenario, so a sweep's pickling and
-    dispatch overhead scales with the number of cells.
+    Module-level (picklable) so :mod:`multiprocessing` pools can map
+    over the cells of a run matrix — one pool task per cell, so a
+    sweep's pickling and dispatch overhead scales with the number of
+    cells.  Every failure is captured into its scenario's outcome, so
+    one bad run never takes the pool down.  Contexts are memoised per
+    (cache_dir, use_cache, scale, seed), so a worker recomputes
+    profiling runs at most once, not once per cell.
     """
-    return _worker_context(cache_dir, use_cache, scale, seed).run_batch(scenarios)
-
-
-def _worker_context(
-    cache_dir: str | None,
-    use_cache: bool | None,
-    scale: float,
-    seed: int,
-) -> ExecutionContext:
-    """This process's memoised context for the given knobs."""
     key = (cache_dir, use_cache, scale, seed)
     ctx = _WORKER_CONTEXTS.get(key)
     if ctx is None:
         ctx = _WORKER_CONTEXTS[key] = ExecutionContext(
             cache_dir=cache_dir, scale=scale, seed=seed, use_cache=use_cache
         )
-    return ctx
+    return ctx.run_batch(scenarios)

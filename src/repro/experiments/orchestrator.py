@@ -36,30 +36,28 @@ Backends
 
 Batch cells
 -----------
-Every backend can execute the matrix in **batch cells** — contiguous
+The pool backends execute the matrix in **batch cells** — contiguous
 runs of scenarios sharing one ``(benchmark, scale)`` trace identity —
-instead of one task per scenario.  A cell rides the native batch entry
-point (one GIL release, one warm-up per trace/geometry, one writeback
-pass; see :func:`repro.sim.engine.run_specs_batch`), so per-run
-dispatch overhead amortises across the cell.  ``batch="auto"`` (the
-default, via ``REPRO_BATCH``) sizes cells at roughly
-``total / workers`` for pool backends and leaves the serial backend
-per-run; an explicit ``--batch N`` applies to every backend.  Cell
-boundaries never change results: outcomes are byte-identical to the
-per-run paths and still returned in matrix order.
+one task per cell; a batch of 1 is simply cells of one scenario.  A
+cell rides the native batch entry point (one GIL release, one warm-up
+per trace/geometry, one writeback pass; see
+:func:`repro.sim.engine.run_specs_batch`), so per-run dispatch overhead
+amortises across the cell.  ``batch="auto"`` (the default, via
+``REPRO_BATCH``) sizes cells at roughly ``total / workers`` for pool
+backends and leaves the serial backend per-run (its ``run_isolated``
+loop is the reference every batched path is tested against); an
+explicit ``--batch N`` applies to every backend.  Cell boundaries
+never change results: outcomes are byte-identical to the per-run path
+and still returned in matrix order.
 
-The process backend additionally publishes each unique trace's base
-columns in POSIX shared memory before the pool starts
-(:mod:`repro.uarch.shared_trace`): workers map the owner's read-only
-pages instead of re-reading ``.npz`` stores or regenerating workloads.
-Segments are unlinked in a ``finally`` when the sweep ends, with an
-``atexit`` guard covering crashed sweeps.
+Process workers find traces exactly like every other run: the
+process-wide compiled-trace cache (inherited under fork), then the
+atomic on-disk trace store, then generation.
 
 Lifecycle events
 ----------------
-Beside (and back-compatibly alongside) the bare ``on_result``
-callback, the orchestrator publishes typed lifecycle events on an
-:class:`~repro.execution.bus.EventBus` when one is supplied:
+The orchestrator reports progress only as typed lifecycle events on an
+:class:`~repro.execution.bus.EventBus`, when one is supplied:
 :class:`~repro.execution.events.CellStarted` when a cell is picked up,
 then :class:`~repro.execution.events.CellFinished` or
 :class:`~repro.execution.events.CellFailed` carrying the full
@@ -72,13 +70,12 @@ together on arrival); per cell, started always precedes finished.
 
 Cancellation
 ------------
-Interruption (Ctrl-C, an ``on_result`` hook or event subscriber
-raising, or a :class:`~repro.execution.cancel.CancelToken` firing) is
-a first-class event, not a crash: the thread backend cancels every
-queued future (running ones finish their current simulation), the
-process backend terminates and joins its pool, and the shared-memory
-segments are unlinked synchronously before the exception propagates.
-A cancel token is checked between cells on the serial backend and at
+Interruption (Ctrl-C, an event subscriber raising, or a
+:class:`~repro.execution.cancel.CancelToken` firing) is a first-class
+event, not a crash: the thread backend cancels every queued future
+(running ones finish their current simulation) and the process backend
+terminates and joins its pool before the exception propagates.  A
+cancel token is checked between cells on the serial backend and at
 task pickup plus every future completion on the pools, raising
 :class:`~repro.execution.cancel.ExecutionCancelled` through the same
 cleanup rails as Ctrl-C.  Outcomes already announced stay announced —
@@ -97,7 +94,7 @@ import pickle
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 from repro.errors import ExperimentError
 from repro.execution.bus import EventBus
@@ -108,7 +105,6 @@ from repro.experiments.executor import (
     benchmark_scale,
     default_batch,
     default_workers,
-    execute_scenario,
     execute_scenario_batch,
     parse_batch,
     parse_workers,
@@ -130,12 +126,6 @@ def default_backend() -> str:
             f"unknown REPRO_BACKEND {raw!r}; expected one of {', '.join(BACKENDS)}"
         )
     return raw
-
-
-def _pool_entry(args: tuple) -> tuple[int, RunOutcome]:
-    """Pool adapter: run one indexed scenario in a worker process."""
-    index, scenario, cache_dir, use_cache, scale, seed = args
-    return index, execute_scenario(scenario, cache_dir, use_cache, scale, seed)
 
 
 def _pool_entry_batch(args: tuple) -> tuple[tuple[int, ...], list[RunOutcome]]:
@@ -211,10 +201,7 @@ def _init_worker(state: dict) -> None:
 
     Runs in every worker regardless of start method, so fork and spawn
     contexts execute identical scenario matrices; under fork it is a
-    no-op (every name is already present).  Also attaches any
-    shared-memory trace segments the owner exported — attach failures
-    are logged inside :func:`~repro.uarch.shared_trace
-    .install_shared_traces` and fall back to local trace builds.
+    no-op (every name is already present).
     """
     import signal
 
@@ -223,7 +210,6 @@ def _init_worker(state: dict) -> None:
         CONFIGURATIONS,
         CONTROLLERS,
     )
-    from repro.uarch.shared_trace import install_shared_traces
     from repro.workloads.catalog import restore_runtime_benchmarks
 
     # Pool teardown delivers SIGTERM; a forked worker inherits whatever
@@ -235,7 +221,6 @@ def _init_worker(state: dict) -> None:
     CONFIGURATIONS.restore(state["configurations"])
     CONTROLLERS.restore(state["controllers"])
     CLOCKING_MODES.restore(state["clocking_modes"])
-    install_shared_traces(state.get("shared_traces"))
 
 
 class Orchestrator:
@@ -255,9 +240,6 @@ class Orchestrator:
         Default clock seed.
     use_cache:
         Overrides ``REPRO_CACHE``.
-    on_result:
-        Optional callback invoked with each :class:`RunOutcome` as it
-        completes (progress bars, live tables).
     backend:
         ``"auto"`` (default via ``REPRO_BACKEND``), ``"serial"``,
         ``"thread"`` or ``"process"`` — see the module docstring for
@@ -304,7 +286,6 @@ class Orchestrator:
         scale: float | None = None,
         seed: int = 1,
         use_cache: bool | None = None,
-        on_result: Callable[[RunOutcome], None] | None = None,
         backend: str | None = None,
         start_method: str | None = None,
         batch: int | str | None = None,
@@ -320,7 +301,6 @@ class Orchestrator:
         self.scale = benchmark_scale() if scale is None else scale
         self.seed = seed
         self.use_cache = use_cache
-        self.on_result = on_result
         self.events = events
         self.job_id = job_id
         self.cancel = cancel
@@ -447,8 +427,8 @@ class Orchestrator:
             else:
                 outcomes = self._run_parallel(scenarios, batch)
         except (KeyboardInterrupt, ExecutionCancelled):
-            # Workers are already cancelled/terminated by the backend
-            # and the shared segments unlinked; announce the
+            # Workers are already cancelled/terminated by the backend;
+            # announce the
             # interruption and let the caller decide the exit path
             # (the CLI exits 130, campaigns checkpoint and re-raise,
             # the job manager emits a terminal JobCancelled event).
@@ -469,14 +449,11 @@ class Orchestrator:
     def _announce(
         self, outcome: RunOutcome, cell: int, done: int, total: int
     ) -> None:
-        """Publish one completed cell: log, event stream, callback.
+        """Publish one completed cell: log and event stream.
 
         ``cell`` is the outcome's position in the submitted matrix
         (what events carry); ``done`` is the completion counter (what
-        the progress log shows).  Events go out before the legacy
-        ``on_result`` callback so a subscriber that checkpoints and a
-        callback that prints observe the same order the matrix
-        completes in.
+        the progress log shows).
         """
         status = "ok" if outcome.ok else "FAILED"
         logger.info("[%d/%d] %s %s", done + 1, total, outcome.scenario.run_id, status)
@@ -489,8 +466,6 @@ class Orchestrator:
             self.events.publish(
                 cls(job=self.job_id, cell=cell, total=total, outcome=outcome)
             )
-        if self.on_result is not None:
-            self.on_result(outcome)
 
     def _run_serial(
         self, scenarios: Sequence[Scenario], batch: int = 1
@@ -528,54 +503,24 @@ class Orchestrator:
         All workers share one :class:`ExecutionContext` — and with it
         the process-wide compiled-trace cache and the write-through
         result front — so a sweep pays each trace load and each cached
-        result read once for the whole pool.  ``run_isolated`` captures
+        result read once for the whole pool.  ``run_batch`` captures
         per-run failures, so a future never raises.
         """
         ctx = self._context()
         total = len(scenarios)
         ordered: list[RunOutcome | None] = [None] * total
 
-        def run_one(index: int, scenario: Scenario) -> RunOutcome:
+        def run_cell(indices: list[int]) -> list[RunOutcome]:
             # Task pickup is a preemption point: once the token fires,
             # every queued cell raises here instead of simulating, and
             # the completion loop's shutdown(cancel_futures=True) drops
             # the rest.
-            self._check_cancel()
-            self._emit_started(index, total, scenario)
-            return ctx.run_isolated(scenario)
-
-        def run_cell(indices: list[int]) -> list[RunOutcome]:
             self._check_cancel()
             for index in indices:
                 self._emit_started(index, total, scenarios[index])
             return ctx.run_batch([scenarios[i] for i in indices])
 
         done = 0
-        if batch <= 1:
-            with ThreadPoolExecutor(
-                max_workers=min(self.workers, total),
-                thread_name_prefix="repro-sweep",
-            ) as pool:
-                try:
-                    futures = {
-                        pool.submit(run_one, index, scenario): index
-                        for index, scenario in enumerate(scenarios)
-                    }
-                    for future in as_completed(futures):
-                        outcome = future.result()
-                        ordered[futures[future]] = outcome
-                        self._announce(outcome, futures[future], done, total)
-                        done += 1
-                        self._check_cancel()
-                except BaseException:
-                    # Ctrl-C (or an on_result hook raising): without
-                    # the explicit cancel, the executor's __exit__
-                    # would run every queued scenario to completion
-                    # before the exception could propagate.
-                    pool.shutdown(wait=True, cancel_futures=True)
-                    raise
-            assert all(o is not None for o in ordered)
-            return ordered  # type: ignore[return-value]
         cells = self._batch_cells(scenarios, batch)
         with ThreadPoolExecutor(
             max_workers=min(self.workers, len(cells)),
@@ -593,6 +538,10 @@ class Orchestrator:
                         done += 1
                     self._check_cancel()
             except BaseException:
+                # Ctrl-C (or a subscriber raising): without the
+                # explicit cancel, the executor's __exit__ would run
+                # every queued cell to completion before the exception
+                # could propagate.
                 pool.shutdown(wait=True, cancel_futures=True)
                 raise
         assert all(o is not None for o in ordered)
@@ -616,50 +565,9 @@ class Orchestrator:
         except ValueError:  # pragma: no cover - non-POSIX fallback
             return multiprocessing.get_context()
 
-    def _export_shared_traces(
-        self, scenarios: Sequence[Scenario]
-    ) -> tuple[list[dict], list[str]]:
-        """Publish every unique trace in the matrix to shared memory.
-
-        Owner-side half of the shared-trace lifecycle: one segment per
-        ``(benchmark, scale)``, exported before the pool starts so
-        workers map pages instead of rebuilding traces.  Best-effort —
-        a benchmark that fails to resolve or export simply ships no
-        segment and workers build it locally; the scenario itself
-        still runs (and reports its own error if the name is bogus).
-        Returns the descriptors to ship and the segment keys to unlink
-        when the sweep ends.
-        """
-        from repro.sim.engine import export_shared_trace
-        from repro.workloads.catalog import get_benchmark
-
-        descriptors: list[dict] = []
-        seen: set[tuple] = set()
-        for scenario in scenarios:
-            scale = scenario.scale if scenario.scale is not None else self.scale
-            identity = (scenario.benchmark, scale)
-            if identity in seen:
-                continue
-            seen.add(identity)
-            try:
-                descriptors.append(
-                    export_shared_trace(
-                        get_benchmark(scenario.benchmark), scale=scale
-                    )
-                )
-            except Exception:  # noqa: BLE001 - export is an optimisation
-                logger.debug(
-                    "shared-trace export failed for %s (scale %s); workers "
-                    "will build locally", scenario.benchmark, scale,
-                    exc_info=True,
-                )
-        return descriptors, [d["key"] for d in descriptors]
-
     def _run_parallel(
         self, scenarios: Sequence[Scenario], batch: int = 1
     ) -> list[RunOutcome]:
-        from repro.uarch.shared_trace import unlink_exported
-
         cache_dir = str(self.cache_dir) if self.cache_dir is not None else None
         mp_context = self._mp_context()
         # Workers reproduce this process's runtime registrations
@@ -669,84 +577,47 @@ class Orchestrator:
         state = _registry_state(
             require_picklable=mp_context.get_start_method() != "fork"
         )
-        descriptors, shared_keys = self._export_shared_traces(scenarios)
-        state["shared_traces"] = descriptors
         total = len(scenarios)
         ordered: list[RunOutcome | None] = [None] * total
         done = 0
         self._check_cancel()
-        try:
-            if batch <= 1:
-                jobs: Iterable[tuple] = [
-                    (i, s, cache_dir, self.use_cache, self.scale, self.seed)
-                    for i, s in enumerate(scenarios)
-                ]
-                with mp_context.Pool(
-                    processes=min(self.workers, total),
-                    initializer=_init_worker,
-                    initargs=(state,),
-                ) as pool:
-                    try:
-                        for index, outcome in pool.imap_unordered(
-                            _pool_entry, jobs
-                        ):
-                            # Worker starts are invisible across the
-                            # process boundary; announce start and
-                            # finish together on arrival so the
-                            # per-cell ordering contract holds.
-                            self._emit_started(index, total, scenarios[index])
-                            ordered[index] = outcome
-                            self._announce(outcome, index, done, total)
-                            done += 1
-                            self._check_cancel()
-                    except BaseException:
-                        # Ctrl-C or a fired cancel token: kill
-                        # in-flight workers now and wait for them —
-                        # never strand a pool behind a propagating
-                        # interrupt.
-                        pool.terminate()
-                        pool.join()
-                        raise
-            else:
-                cells = self._batch_cells(scenarios, batch)
-                cell_jobs: Iterable[tuple] = [
-                    (
-                        tuple(indices),
-                        [scenarios[i] for i in indices],
-                        cache_dir,
-                        self.use_cache,
-                        self.scale,
-                        self.seed,
-                    )
-                    for indices in cells
-                ]
-                with mp_context.Pool(
-                    processes=min(self.workers, len(cells)),
-                    initializer=_init_worker,
-                    initargs=(state,),
-                ) as pool:
-                    try:
-                        for indices, outcomes in pool.imap_unordered(
-                            _pool_entry_batch, cell_jobs
-                        ):
-                            for index, outcome in zip(indices, outcomes):
-                                self._emit_started(
-                                    index, total, scenarios[index]
-                                )
-                                ordered[index] = outcome
-                                self._announce(outcome, index, done, total)
-                                done += 1
-                            self._check_cancel()
-                    except BaseException:
-                        pool.terminate()
-                        pool.join()
-                        raise
-        finally:
-            # Owner-side unlink: segment names vanish now; worker
-            # mappings (if any are somehow still alive) survive until
-            # closed.  The atexit guard in repro.uarch.shared_trace
-            # covers paths that never reach this finally.
-            unlink_exported(shared_keys)
+        cells = self._batch_cells(scenarios, batch)
+        cell_jobs = [
+            (
+                tuple(indices),
+                [scenarios[i] for i in indices],
+                cache_dir,
+                self.use_cache,
+                self.scale,
+                self.seed,
+            )
+            for indices in cells
+        ]
+        with mp_context.Pool(
+            processes=min(self.workers, len(cells)),
+            initializer=_init_worker,
+            initargs=(state,),
+        ) as pool:
+            try:
+                for indices, outcomes in pool.imap_unordered(
+                    _pool_entry_batch, cell_jobs
+                ):
+                    # Worker starts are invisible across the process
+                    # boundary; announce start and finish together on
+                    # arrival so the per-cell ordering contract holds.
+                    for index, outcome in zip(indices, outcomes):
+                        self._emit_started(index, total, scenarios[index])
+                        ordered[index] = outcome
+                        self._announce(outcome, index, done, total)
+                        done += 1
+                    self._check_cancel()
+            except BaseException:
+                # Ctrl-C or a fired cancel token: kill in-flight
+                # workers now and wait for them — never strand a pool
+                # behind a propagating interrupt.
+                pool.terminate()
+                pool.join()
+                raise
         assert all(o is not None for o in ordered)
         return ordered  # type: ignore[return-value]
 

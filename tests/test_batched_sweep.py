@@ -1,11 +1,11 @@
-"""Batched native sweeps + shared-memory traces: the differential harness.
+"""Batched native sweeps: the differential harness.
 
-The batch entry point (``_hotpath.run_batch``) and the shared-memory
-trace layer only earn their keep if they are invisible in the results:
-a batched sweep must be byte-identical to the per-run paths on every
-backend, at every batch size, for every controller variant — and a
-sweep must never leak a ``/dev/shm`` segment, however it ends.  This
-module locks both properties down:
+The batch entry point (``_hotpath.run_batch``) only earns its keep if
+it is invisible in the results: a batched sweep must be byte-identical
+to the per-run paths on every backend, at every batch size, for every
+controller variant — and a process sweep must never create a
+``/dev/shm`` segment, however it ends.  This module locks both
+properties down:
 
 * an engine-level differential fuzz — a seeded matrix of specs
   (catalog + derived stressor benchmarks, both ``literal_listing``
@@ -18,12 +18,12 @@ module locks both properties down:
 * an orchestrator-level differential: serial / thread / process
   backends x batch sizes {1, 3, matrix, > matrix}, fork and spawn,
   all equal to the serial per-run reference, with per-scenario error
-  isolation inside a batch cell;
-* shared-memory lifecycle: segment round-trip, read-only views,
-  idempotent unlink, attach-failure fallback (logged, non-fatal),
-  owner-side cleanup after normal sweeps and after a worker raises
-  mid-batch — asserted against the OS segment namespace (``psutil``
-  when available, else a ``/dev/shm`` scan);
+  isolation inside a batch cell — also with the on-disk trace store
+  disabled (``REPRO_CACHE=0``), so every process worker finds its
+  traces through its own trace cache or by generating them;
+* a ``/dev/shm`` guard: process sweeps, normal and with a worker
+  raising mid-batch, leave the OS segment namespace unchanged
+  (``psutil`` when available, else a ``/dev/shm`` scan);
 * unit coverage for ``parse_batch`` / ``default_batch``,
   ``Orchestrator._resolve_batch`` / ``_batch_cells`` edge cases
   (serial with an explicit batch, batch > matrix, the 32-cell cap),
@@ -33,7 +33,6 @@ module locks both properties down:
 from __future__ import annotations
 
 import dataclasses
-import logging
 import random
 from pathlib import Path
 
@@ -45,15 +44,8 @@ from repro.errors import ExperimentError
 from repro.experiments import Orchestrator, Scenario, Suite
 from repro.experiments.executor import default_batch, parse_batch
 from repro.metrics.summary import summarize
-from repro.sim.engine import (
-    SimulationSpec,
-    export_shared_trace,
-    run_spec,
-    run_specs_batch,
-)
-from repro.uarch import native, shared_trace
-from repro.uarch.compiled_trace import _BASE_COLUMNS
-from repro.workloads.catalog import get_benchmark
+from repro.sim.engine import SimulationSpec, run_spec, run_specs_batch
+from repro.uarch import native
 
 SCALE = 0.05
 #: Legend-labelled configuration names select the controller variant:
@@ -215,6 +207,7 @@ class TestBatchedBackends:
         [
             ("serial", 1, 3, None),
             ("serial", 1, 8, None),
+            ("thread", 2, 1, None),
             ("thread", 2, 3, None),
             ("thread", 2, 8, None),
             ("process", 2, 1, None),
@@ -233,6 +226,26 @@ class TestBatchedBackends:
         ).run(suite)
         assert not results.errors, [o.error for o in results.errors]
         assert results.to_dict() == serial_reference
+
+    @pytest.mark.parametrize("start_method", [None, "spawn"])
+    def test_process_without_trace_store_matches_serial(
+        self, suite, serial_reference, start_method, tmp_path, monkeypatch,
+    ):
+        """``REPRO_CACHE=0``: no trace store, so workers find every
+        trace in their process-wide trace cache or generate it."""
+        from repro.sim.engine import _TRACE_MEMO
+
+        monkeypatch.setenv("REPRO_CACHE", "0")
+        # Forked workers inherit this process's trace cache; start them
+        # empty so they take the generate path, not a warm hit.
+        _TRACE_MEMO.clear()
+        results = Orchestrator(
+            workers=2, backend="process", batch=2,
+            start_method=start_method, cache_dir=tmp_path,
+        ).run(suite)
+        assert not results.errors, [o.error for o in results.errors]
+        assert results.to_dict() == serial_reference
+        assert not any(tmp_path.iterdir()), "REPRO_CACHE=0 wrote to disk"
 
     def test_batch_cell_isolates_failures(self, suite, serial_reference, tmp_path):
         from repro.experiments import CONFIGURATIONS, register_configuration
@@ -350,69 +363,8 @@ class TestBatchResolution:
 
 
 # ---------------------------------------------------------------------------
-# Shared-memory trace lifecycle
+# /dev/shm guard
 # ---------------------------------------------------------------------------
-
-
-class TestSharedTraceSegments:
-    def teardown_method(self):
-        shared_trace.detach_all()
-        shared_trace.unlink_exported()
-
-    def test_round_trip_and_read_only_views(self):
-        descriptor = export_shared_trace(get_benchmark("adpcm"), scale=SCALE)
-        assert set(descriptor) == {"key", "name", "layout"}
-        assert [entry[0] for entry in descriptor["layout"]] == list(_BASE_COLUMNS)
-
-        owned = shared_trace.shared_columns(descriptor["key"])
-        assert owned is not None
-        segment = shared_trace.SharedTraceSegment.attach(descriptor)
-        try:
-            for owner_col, attached_col in zip(owned, segment.columns()):
-                assert not attached_col.flags.writeable
-                assert not owner_col.flags.writeable
-                assert attached_col.tolist() == owner_col.tolist()
-        finally:
-            segment.close()
-
-    def test_export_is_idempotent_and_unlink_forgets(self):
-        first = export_shared_trace(get_benchmark("adpcm"), scale=SCALE)
-        second = export_shared_trace(get_benchmark("adpcm"), scale=SCALE)
-        assert first["name"] == second["name"]
-        key = first["key"]
-        assert shared_trace.shared_columns(key) is not None
-        shared_trace.unlink_exported([key])
-        assert shared_trace.shared_columns(key) is None
-        # Idempotent: unlinking an already-gone key must not raise.
-        shared_trace.unlink_exported([key])
-
-    def test_attach_failure_is_logged_and_non_fatal(self, caplog):
-        bogus = {"key": "no-such-trace", "name": "psm_repro_gone", "layout": []}
-        with caplog.at_level(logging.WARNING, logger="repro.uarch.shared_trace"):
-            attached = shared_trace.install_shared_traces([bogus])
-        assert attached == 0
-        assert shared_trace.shared_columns("no-such-trace") is None
-        assert any(
-            "falling back to local build" in record.message
-            for record in caplog.records
-        )
-
-    def test_install_skips_keys_the_owner_already_serves(self):
-        descriptor = export_shared_trace(get_benchmark("adpcm"), scale=SCALE)
-        # A forked worker inherits the export; attaching again would
-        # only duplicate the mapping.
-        assert shared_trace.install_shared_traces([descriptor]) == 0
-
-    def test_shared_columns_build_byte_identical_traces(self):
-        from repro.sim.engine import compiled_trace_for
-
-        bench = get_benchmark("adpcm")
-        local = compiled_trace_for(bench, scale=SCALE)
-        descriptor = export_shared_trace(bench, scale=SCALE)
-        shared = shared_trace.shared_columns(descriptor["key"])
-        assert shared is not None
-        for shared_col, name in zip(shared, _BASE_COLUMNS):
-            assert shared_col.tolist() == local.arrays[name].tolist(), name
 
 
 class TestSweepLeavesNoSegments:

@@ -28,6 +28,7 @@ from repro.campaigns import (
 )
 from repro.cli import main
 from repro.errors import CampaignError
+from repro.execution import CellFinished, EventBus
 from repro.experiments.results import RunOutcome
 from repro.experiments.scenario import Scenario
 
@@ -209,10 +210,10 @@ class TestCampaignSpec:
 def _outcome(benchmark="adpcm", configuration="sync", ok=True) -> RunOutcome:
     scenario = Scenario(benchmark, configuration, scale=0.02)
     if ok:
-        from repro.experiments.executor import execute_scenario
+        from repro.experiments.executor import ExecutionContext
 
-        return execute_scenario(
-            scenario, cache_dir=None, use_cache=False, scale=0.02, seed=1
+        return ExecutionContext(scale=0.02, seed=1, use_cache=False).run_isolated(
+            scenario
         )
     return RunOutcome(scenario=scenario, error="injected failure")
 
@@ -320,12 +321,17 @@ class TestCampaignRunner:
         spec = CampaignSpec.load(write_campaign(tmp_path))
         runner = CampaignRunner(spec)
 
-        def interrupt_after_two(index, outcome):
-            if len(runner.journal.load().completed) >= 2:
-                raise KeyboardInterrupt
+        def interrupt_after_two(event):
+            # Subscribed ahead of the journal checkpoint: the first
+            # finish event seen with two cells journalled interrupts.
+            if isinstance(event, CellFinished):
+                if len(runner.journal.load().completed) >= 2:
+                    raise KeyboardInterrupt
 
+        bus = EventBus()
+        bus.subscribe(interrupt_after_two)
         with pytest.raises(KeyboardInterrupt):
-            runner.run(on_result=interrupt_after_two)
+            runner.run(bus=bus)
 
         completed = set(runner.state().completed)
         assert len(completed) == 2  # journalled before the interrupt
