@@ -138,11 +138,13 @@ class CacheStore:
 
         The payload is serialised to a temporary file in the cache
         directory and renamed into place, so readers (including other
-        worker processes) only ever observe complete entries.
+        worker processes) only ever observe complete entries.  The
+        write skips the fsyncs: after a power loss an entry may be
+        empty or partial, which :meth:`load` treats as a miss.
         """
         if not self.enabled:
             return
         text = json.dumps(payload, indent=1, sort_keys=True)
-        with atomic_write(self._path(key), "w") as handle:
+        with atomic_write(self._path(key), "w", durable=False) as handle:
             handle.write(text)
         self._memory.put(key, payload)

@@ -13,6 +13,17 @@ data it names, so without it a power loss could publish a zero-length
 or partial file under the final name.  (The containing directory is
 fsynced best-effort too, so the rename itself survives the crash.)
 This module is the single copy of that pattern.
+
+Two writers skip both fsyncs (``durable=False``): the result cache's
+:meth:`~repro.experiments.cache.CacheStore.store` and the trace store's
+:meth:`~repro.uarch.compiled_trace.TraceStore.store`.  Every entry they
+write is a pure function of its key, so the worst a power loss can do
+is leave a zero-length or partial file under its final name, which
+their readers already treat as a miss and the next store overwrites.
+Skipping the fsyncs saved about 0.7 ms per store (0.56 → 0.23 s over
+the 450 stores of a cold Table 6 reproduction on a 2-vCPU Linux
+container).  The campaign journal, the result database (``results/db``) and the ETF
+export hold data nothing can recompute, so they keep both fsyncs.
 """
 
 from __future__ import annotations
@@ -29,7 +40,9 @@ logger = logging.getLogger(__name__)
 
 
 @contextmanager
-def atomic_write(path: Path | str, mode: str = "wb") -> Iterator[IO]:
+def atomic_write(
+    path: Path | str, mode: str = "wb", durable: bool = True
+) -> Iterator[IO]:
     """Open a handle whose contents appear at ``path`` atomically.
 
     The destination directory is created if missing.  The handle writes
@@ -37,6 +50,9 @@ def atomic_write(path: Path | str, mode: str = "wb") -> Iterator[IO]:
     and renamed over ``path`` in one :func:`os.replace` (followed by a
     best-effort fsync of the directory), and on any exception the
     temporary is unlinked and the destination left untouched.
+    ``durable=False`` skips both fsyncs, for recomputable entries only
+    (see the module docstring): readers still never see a partial
+    file unless the machine itself goes down.
 
     >>> import tempfile as _tf
     >>> from pathlib import Path as _P
@@ -58,9 +74,11 @@ def atomic_write(path: Path | str, mode: str = "wb") -> Iterator[IO]:
             # its name — otherwise a power loss can surface a
             # zero-length or partial file at ``path``.
             handle.flush()
-            os.fsync(handle.fileno())
+            if durable:
+                os.fsync(handle.fileno())
         os.replace(tmp_name, path)
-        _fsync_directory(path.parent)
+        if durable:
+            _fsync_directory(path.parent)
     except BaseException:
         try:
             os.unlink(tmp_name)

@@ -8,8 +8,14 @@
  * a*b+c rounds exactly as CPython rounds it.
  *
  * State crosses the boundary once per run: compiled-trace columns come
- * in as int64 buffers, cache/predictor/BTB state is unmarshalled from
- * the owning Python objects at entry and written back at exit.  A stock
+ * in as int64 buffers, and the loop allocates the per-run caches,
+ * predictor tables and BTB itself as flat arrays, initialised exactly
+ * as CacheHierarchy and CombiningBranchPredictor initialise theirs.
+ * Their contents never cross back (only their hit/miss counters do).
+ * When the argument dict asks for a warm-up, the loop first replays the
+ * trace's head through those tables — MCDCore.warm_up's replay — with
+ * the same access helpers the event loop calls, so the two cannot
+ * drift.  A stock
  * Attack/Decay controller (paper Listing 1, plus the regulator's
  * request quantisation) is marshalled into flat registers and run
  * inline at each interval rollover — the closed-loop run then makes
@@ -22,34 +28,36 @@
  * calls once per element, so the stream is byte-identical.  Any other
  * jitter model falls back to the per-block `refill` Python callback.
  * See repro/uarch/native.py for the build/load glue and controller
- * marshalling, and MCDCore._run_compiled_native for the marshal layer.
+ * marshalling, and MCDCore.native_marshal for the marshal layer.
  *
  * Execution is staged around a per-run RunState struct so a whole
  * sweep can run on a thread pool inside one process:
  *
- *   1. marshal   — all PyObject access and buffer extraction (GIL held);
- *   2. compute   — the event loop, pure C over RunState-local data,
- *                  with the GIL RELEASED (PyEval_SaveThread).  Its only
- *                  Python crossing is the per-interval `rollover`
- *                  callback, for custom controllers and interval
- *                  recording; non-stock jitter models add the
- *                  per-block `refill`.  Both go through shims that
- *                  re-acquire the GIL for the call;
- *   3. writeback — fold results into the owning objects (GIL held).
+ *   1. marshal   — all PyObject access and buffer extraction, plus the
+ *                  allocation of the per-run tables (GIL held);
+ *   2. compute   — the warm-up replay, then the event loop, pure C over
+ *                  RunState-local data, with the GIL RELEASED
+ *                  (PyEval_SaveThread).  Its only Python crossing is the
+ *                  per-interval `rollover` callback, for custom
+ *                  controllers and interval recording; non-stock jitter
+ *                  models add the per-block `refill`.  Both go through
+ *                  shims that re-acquire the GIL for the call;
+ *   3. writeback — build the per-run result dict (GIL held); the caller
+ *                  folds it into the owning objects.
  *
  * Two entry points share the stages.  run_compiled drives one RunState
  * through all three.  run_batch amortises the boundary across a sweep
  * cell: it marshals a *vector* of argument dicts up front, releases the
- * GIL once, computes every run back to back, and then writes each run
- * back into its own objects — exactly the per-run folding the single
- * entry performs, so batched results are byte-identical by
- * construction.
+ * GIL once, computes every run back to back, and then returns one
+ * result dict per run — exactly what the single entry returns, so
+ * batched results are byte-identical by construction.
  *
  * Reentrancy audit: this file holds NO mutable state with static
  * storage duration — every array, ring buffer and counter lives on the
  * compute stage's stack or in per-RunState PyMem allocations, and the
- * buffers handed in through the argument dict are created per run by
- * MCDCore._run_compiled_native.  Concurrent run_compiled/run_batch
+ * writable buffers handed in through the argument dict are created per
+ * run by MCDCore.native_marshal (the trace columns are only read).
+ * Concurrent run_compiled/run_batch
  * calls from different threads therefore never share writable memory,
  * which is what makes the thread-pool sweep backend sound.
  *
@@ -142,91 +150,216 @@ release_views(ViewPool *pool)
     pool->count = 0;
 }
 
-/* ------------------------------------------------- list marshal helpers */
+/* ------------------------------------------- caches, predictor, BTB */
 
-/* Flatten a Python list-of-lists-of-ints (cache tag sets, MRU last) into
- * tags[set * ways + j] with per-set counts. */
+/* One tag-only LRU cache (SetAssociativeCache): tags[set * ways + j]
+ * holds set `set`'s valid tags, most recently used last, and cnt[set]
+ * counts them. */
+typedef struct {
+    int64_t *tags;
+    int32_t *cnt;
+    int64_t nsets;
+    int ways;
+} Cache;
+
+/* The combining predictor's tables and its BTB
+ * (CombiningBranchPredictor, BranchTargetBuffer); the BTB keeps
+ * (tag, target) pairs in btb_tags/btb_tgts, most recently used last. */
+typedef struct {
+    int64_t *hist, *pl2, *bim, *meta;
+    int64_t hist_len, pl2_len, bim_len, meta_len, hist_mask;
+    int64_t *btb_tags, *btb_tgts;
+    int32_t *btb_cnt;
+    int64_t btb_nsets;
+    int btb_ways;
+} Predictor;
+
+/* Allocate an empty cache (GIL held). */
 static int
-sets_from_list(PyObject *sets, Py_ssize_t nsets, Py_ssize_t ways,
-               int64_t *tags, int32_t *cnt)
+cache_alloc(Cache *c, long long nsets, long long ways)
 {
-    if (!PyList_Check(sets) || PyList_GET_SIZE(sets) != nsets) {
-        PyErr_SetString(PyExc_TypeError, "hotpath: bad cache set list");
+    if (nsets < 1 || ways < 1) {
+        PyErr_SetString(PyExc_ValueError, "hotpath: bad cache geometry");
         return -1;
     }
-    for (Py_ssize_t i = 0; i < nsets; i++) {
-        PyObject *s = PyList_GET_ITEM(sets, i);
-        Py_ssize_t k = PyList_GET_SIZE(s);
-        if (k > ways)
-            k = ways; /* transient overflow never persists */
-        cnt[i] = (int32_t)k;
-        for (Py_ssize_t j = 0; j < k; j++) {
-            int64_t tag = PyLong_AsLongLong(PyList_GET_ITEM(s, j));
-            if (tag == -1 && PyErr_Occurred())
-                return -1;
-            tags[i * ways + j] = tag;
-        }
+    c->nsets = nsets;
+    c->ways = (int)ways;
+    c->tags = PyMem_Malloc(nsets * ways * sizeof(int64_t));
+    c->cnt = PyMem_Calloc(nsets, sizeof(int32_t));
+    if (c->tags == NULL || c->cnt == NULL) {
+        PyErr_NoMemory();
+        return -1;
     }
     return 0;
 }
 
-static int
-sets_to_list(PyObject *sets, Py_ssize_t nsets, Py_ssize_t ways,
-             const int64_t *tags, const int32_t *cnt)
-{
-    for (Py_ssize_t i = 0; i < nsets; i++) {
-        PyObject *s = PyList_New(cnt[i]);
-        if (s == NULL)
-            return -1;
-        for (Py_ssize_t j = 0; j < cnt[i]; j++) {
-            PyObject *tag = PyLong_FromLongLong(tags[i * ways + j]);
-            if (tag == NULL) {
-                Py_DECREF(s);
-                return -1;
-            }
-            PyList_SET_ITEM(s, j, tag);
-        }
-        if (PyList_SetItem(sets, i, s) < 0)
-            return -1;
-    }
-    return 0;
-}
-
+/* Allocate a predictor table of n counters set to init (GIL held). */
 static int64_t *
-ints_from_list(PyObject *list, Py_ssize_t *n_out)
+table_alloc(long long n, int64_t init)
 {
-    if (!PyList_Check(list)) {
-        PyErr_SetString(PyExc_TypeError, "hotpath: expected list of ints");
+    if (n < 1) {
+        PyErr_SetString(PyExc_ValueError, "hotpath: empty predictor table");
         return NULL;
     }
-    Py_ssize_t n = PyList_GET_SIZE(list);
-    int64_t *out = PyMem_Malloc((n ? n : 1) * sizeof(int64_t));
-    if (out == NULL) {
+    int64_t *table = PyMem_Malloc(n * sizeof(int64_t));
+    if (table == NULL) {
         PyErr_NoMemory();
         return NULL;
     }
-    for (Py_ssize_t i = 0; i < n; i++) {
-        out[i] = PyLong_AsLongLong(PyList_GET_ITEM(list, i));
-        if (out[i] == -1 && PyErr_Occurred()) {
-            PyMem_Free(out);
-            return NULL;
-        }
-    }
-    *n_out = n;
-    return out;
+    for (long long i = 0; i < n; i++)
+        table[i] = init;
+    return table;
 }
 
-static int
-ints_to_list(PyObject *list, const int64_t *vals, Py_ssize_t n)
+static void
+cache_free(Cache *c)
 {
-    for (Py_ssize_t i = 0; i < n; i++) {
-        PyObject *v = PyLong_FromLongLong(vals[i]);
-        if (v == NULL)
-            return -1;
-        if (PyList_SetItem(list, i, v) < 0)
-            return -1;
+    PyMem_Free(c->tags);
+    PyMem_Free(c->cnt);
+}
+
+static void
+predictor_free(Predictor *p)
+{
+    PyMem_Free(p->hist);
+    PyMem_Free(p->pl2);
+    PyMem_Free(p->bim);
+    PyMem_Free(p->meta);
+    PyMem_Free(p->btb_tags);
+    PyMem_Free(p->btb_tgts);
+    PyMem_Free(p->btb_cnt);
+}
+
+/* SetAssociativeCache.access on a line number: LRU lookup, allocate on
+ * a miss.  Returns 1 on a hit. */
+static inline int
+cache_access(Cache *c, int64_t line)
+{
+    int64_t si = line % c->nsets;
+    int64_t tag = line / c->nsets;
+    int64_t *setp = &c->tags[si * c->ways];
+    int cnt = c->cnt[si];
+    for (int j = 0; j < cnt; j++) {
+        if (setp[j] == tag) {
+            for (int k = j; k < cnt - 1; k++)
+                setp[k] = setp[k + 1];
+            setp[cnt - 1] = tag;
+            return 1;
+        }
+    }
+    if (cnt == c->ways) {
+        for (int k = 0; k < cnt - 1; k++)
+            setp[k] = setp[k + 1];
+        setp[cnt - 1] = tag;
+    } else {
+        setp[cnt] = tag;
+        c->cnt[si] = cnt + 1;
     }
     return 0;
+}
+
+/* CacheHierarchy.instruction_access/data_access on a line number: the
+ * L1 and, on an L1 miss, the shared L2.  Counts accesses and misses
+ * into l1_stats[0..1] and l2_stats[0..1]; returns the servicing level
+ * (1 L1, 2 L2, 3 memory). */
+static inline int
+hierarchy_access(Cache *l1, Cache *l2, int64_t line, int64_t *l1_stats,
+                 int64_t *l2_stats)
+{
+    l1_stats[0]++;
+    if (cache_access(l1, line))
+        return 1;
+    l1_stats[1]++;
+    l2_stats[0]++;
+    if (cache_access(l2, line))
+        return 2;
+    l2_stats[1]++;
+    return 3;
+}
+
+static inline int64_t
+counter_update(int64_t value, int up)
+{
+    if (up)
+        return value < 3 ? value + 1 : 3;
+    return value > 0 ? value - 1 : 0;
+}
+
+/* CombiningBranchPredictor.access: predict, train, and refresh the BTB
+ * for a taken branch.  Returns 0 for a correct prediction, 1 for a
+ * direction mispredict and 2 for a taken branch whose target the BTB
+ * could not supply. */
+static inline int
+predictor_access(Predictor *p, int64_t pc, int64_t tk, int64_t target)
+{
+    int64_t word = pc >> 2;
+    int64_t hist_i = word % p->hist_len;
+    int64_t history = p->hist[hist_i];
+    int64_t pl2_i = (history ^ word) % p->pl2_len;
+    int two_level = p->pl2[pl2_i] >= 2;
+    int64_t bim_i = word % p->bim_len;
+    int bimodal = p->bim[bim_i] >= 2;
+    int prediction = p->meta[word % p->meta_len] >= 2 ? two_level : bimodal;
+    int outcome = 0;
+    int64_t bs = word % p->btb_nsets;
+    int64_t btag = word / p->btb_nsets;
+    int64_t *btags = &p->btb_tags[bs * p->btb_ways];
+    int64_t *btgts = &p->btb_tgts[bs * p->btb_ways];
+    int bcnt = p->btb_cnt[bs];
+    if (prediction != (int)tk) {
+        outcome = 1;
+    } else if (tk) {
+        /* BTB lookup; a hit moves the entry to the MRU slot. */
+        int found = 0;
+        int64_t found_tgt = 0;
+        for (int j = 0; j < bcnt; j++) {
+            if (btags[j] == btag) {
+                found = 1;
+                found_tgt = btgts[j];
+                for (int k = j; k < bcnt - 1; k++) {
+                    btags[k] = btags[k + 1];
+                    btgts[k] = btgts[k + 1];
+                }
+                btags[bcnt - 1] = btag;
+                btgts[bcnt - 1] = found_tgt;
+                break;
+            }
+        }
+        if (!found || found_tgt != target)
+            outcome = 2;
+    }
+    p->pl2[pl2_i] = counter_update(p->pl2[pl2_i], (int)tk);
+    p->bim[bim_i] = counter_update(p->bim[bim_i], (int)tk);
+    if (two_level != bimodal) {
+        int64_t meta_i = word % p->meta_len;
+        p->meta[meta_i] = counter_update(p->meta[meta_i], two_level == (int)tk);
+    }
+    p->hist[hist_i] = ((history << 1) | (tk ? 1 : 0)) & p->hist_mask;
+    if (tk) {
+        /* BTB update: drop any stale entry, evict the LRU one when the
+         * set is full, install as MRU. */
+        for (int j = 0; j < bcnt; j++) {
+            if (btags[j] == btag) {
+                for (int k = j; k < bcnt - 1; k++) {
+                    btags[k] = btags[k + 1];
+                    btgts[k] = btgts[k + 1];
+                }
+                bcnt--;
+                break;
+            }
+        }
+        if (bcnt == p->btb_ways) {
+            for (int k = 0; k < bcnt - 1; k++) {
+                btags[k] = btags[k + 1];
+                btgts[k] = btgts[k + 1];
+            }
+            bcnt--;
+        }
+        btags[bcnt] = btag;
+        btgts[bcnt] = target;
+        p->btb_cnt[bs] = bcnt + 1;
+    }
+    return outcome;
 }
 
 /* ---------------------------------------------------- GIL bridge shims */
@@ -324,10 +457,8 @@ typedef struct {
     int mcd_mode;
     int64_t kind_load, kind_store, kind_branch;
     int shift;
-    int64_t l1i_nsets, l1d_nsets, l2_nsets;
-    int l1i_ways, l1d_ways, l2_ways;
-    int64_t hist_mask, btb_nsets;
-    int btb_ways, call_rollover;
+    int64_t warmup;
+    int call_rollover;
     double mem_latency, window, vmin, fmin, vslope, vmax_sq_inv;
     double e_l1i, e_l2, e_bpred, e_retire, e_disp_fetch;
     /* native closed-loop controller */
@@ -343,8 +474,7 @@ typedef struct {
     int64_t *reg_requests, *reg_dirchg;
     /* column + state buffers (views owned by pool) */
     const int64_t *kinds, *pcs, *addrs, *taken_c, *targets_c;
-    const int64_t *dest_c, *qd_c, *p1_c, *p2_c;
-    int64_t *newline;
+    const int64_t *dest_c, *qd_c, *p1_c, *p2_c, *newline;
     const int64_t *lat_cycles, *complex_op, *simple_w, *complex_w, *q_cap;
     const double *clock_e, *idle_e, *e_issue_a, *e_simple_a, *e_complex_a;
     double *reg_cur, *reg_tgt, *reg_last;
@@ -355,13 +485,9 @@ typedef struct {
     double *acc_clock, *acc_struct;
     int64_t *n_busy, *n_idle, *q_occ, *q_writes, *cache_stats, *bp_stats;
     double *cur_freq;
-    /* unmarshalled python-object state (per-run PyMem allocations) */
-    int64_t *l1i_tags, *l1d_tags, *l2_tags;
-    int32_t *l1i_cnt, *l1d_cnt, *l2_cnt;
-    int64_t *hist, *pl2, *bim, *meta;
-    Py_ssize_t hist_len, pl2_len, bim_len, meta_len;
-    int64_t *btb_tags, *btb_tgts;
-    int32_t *btb_cnt;
+    /* per-run PyMem allocations */
+    Cache l1i, l1d, l2;
+    Predictor bp;
     double *jbuf[4];
     Py_ssize_t jlen[4];
     /* native jitter draw per domain; jgen NULL means the refill bridge */
@@ -369,10 +495,8 @@ typedef struct {
     double jsigma[4], jclip[4];
     Py_ssize_t jblock[4];
     int64_t *rob_seq;
-    /* owning python objects (borrowed from the argument dict, which the
-     * caller keeps alive for the duration of the call) */
-    PyObject *l1i_sets_o, *l1d_sets_o, *l2_sets_o;
-    PyObject *hist_o, *pl2_o, *bim_o, *meta_o, *btb_o;
+    /* callbacks (borrowed from the argument dict, which the caller keeps
+     * alive for the duration of the call) */
     PyObject *refill, *rollover;
     /* compute outputs */
     int64_t int_free, fp_free;
@@ -403,28 +527,20 @@ static void
 free_run(RunState *rs)
 {
     release_views(&rs->pool);
-    PyMem_Free(rs->l1i_tags);
-    PyMem_Free(rs->l1i_cnt);
-    PyMem_Free(rs->l1d_tags);
-    PyMem_Free(rs->l1d_cnt);
-    PyMem_Free(rs->l2_tags);
-    PyMem_Free(rs->l2_cnt);
-    PyMem_Free(rs->hist);
-    PyMem_Free(rs->pl2);
-    PyMem_Free(rs->bim);
-    PyMem_Free(rs->meta);
-    PyMem_Free(rs->btb_tags);
-    PyMem_Free(rs->btb_tgts);
-    PyMem_Free(rs->btb_cnt);
+    cache_free(&rs->l1i);
+    cache_free(&rs->l1d);
+    cache_free(&rs->l2);
+    predictor_free(&rs->bp);
     PyMem_Free(rs->rob_seq);
     for (int d = 0; d < 4; d++)
         PyMem_Free(rs->jbuf[d]);
     memset(rs, 0, sizeof(*rs));
 }
 
-/* Stage 1: all PyObject access and buffer extraction (GIL held).
- * Fills *rs from the argument dict; on failure a Python exception is
- * set and whatever was already acquired stays in *rs for free_run. */
+/* Stage 1: all PyObject access and buffer extraction, and the per-run
+ * tables (GIL held).  Fills *rs from the argument dict; on failure a
+ * Python exception is set and whatever was already acquired stays in
+ * *rs for free_run. */
 static int
 marshal_run(PyObject *a, RunState *rs)
 {
@@ -436,7 +552,8 @@ marshal_run(PyObject *a, RunState *rs)
     long long kind_load_ll, kind_store_ll, kind_branch_ll, line_shift_ll;
     long long l1i_nsets_ll, l1i_ways_ll, l1d_nsets_ll, l1d_ways_ll;
     long long l2_nsets_ll, l2_ways_ll, hist_mask_ll, btb_nsets_ll, btb_ways_ll;
-    long long call_rollover_ll;
+    long long hist_len_ll, pl2_len_ll, bim_len_ll, meta_len_ll;
+    long long warmup_ll, call_rollover_ll;
     double mem_latency, window, vmin, fmin, vslope, vmax_sq_inv;
     double e_l1i, e_l2, e_bpred, e_retire, e_disp_fetch;
     if (get_long(a, "n", &n_ll) || get_long(a, "decode_width", &decode_width_ll)
@@ -462,6 +579,11 @@ marshal_run(PyObject *a, RunState *rs)
         || get_long(a, "hist_mask", &hist_mask_ll)
         || get_long(a, "btb_nsets", &btb_nsets_ll)
         || get_long(a, "btb_ways", &btb_ways_ll)
+        || get_long(a, "hist_len", &hist_len_ll)
+        || get_long(a, "pl2_len", &pl2_len_ll)
+        || get_long(a, "bim_len", &bim_len_ll)
+        || get_long(a, "meta_len", &meta_len_ll)
+        || get_long(a, "warmup", &warmup_ll)
         || get_long(a, "call_rollover", &call_rollover_ll)
         || get_double(a, "mem_latency", &mem_latency)
         || get_double(a, "window", &window)
@@ -485,13 +607,6 @@ marshal_run(PyObject *a, RunState *rs)
     const int64_t kind_load = kind_load_ll, kind_store = kind_store_ll,
                   kind_branch = kind_branch_ll;
     const int shift = (int)line_shift_ll;
-    const int64_t l1i_nsets = l1i_nsets_ll, l1d_nsets = l1d_nsets_ll,
-                  l2_nsets = l2_nsets_ll;
-    const int l1i_ways = (int)l1i_ways_ll, l1d_ways = (int)l1d_ways_ll,
-              l2_ways = (int)l2_ways_ll;
-    const int64_t hist_mask = hist_mask_ll;
-    const int64_t btb_nsets = btb_nsets_ll;
-    const int btb_ways = (int)btb_ways_ll;
     const int call_rollover = (int)call_rollover_ll;
     int64_t int_free = int_free_ll, fp_free = fp_free_ll;
 
@@ -523,10 +638,14 @@ marshal_run(PyObject *a, RunState *rs)
     const int64_t *qd_c = get_buffer(a, "domain", pool, 0, 8, NULL);
     const int64_t *p1_c = get_buffer(a, "p1", pool, 0, 8, NULL);
     const int64_t *p2_c = get_buffer(a, "p2", pool, 0, 8, NULL);
-    int64_t *newline = get_buffer(a, "newline", pool, 1, 8, NULL);
+    const int64_t *newline = get_buffer(a, "newline", pool, 0, 8, NULL);
     if (!pcs || !addrs || !taken_c || !targets_c || !dest_c || !qd_c || !p1_c
         || !p2_c || !newline)
         goto fail;
+    if (warmup_ll < 0 || warmup_ll > total) {
+        PyErr_SetString(PyExc_ValueError, "hotpath: warm-up outside the trace");
+        goto fail;
+    }
 
     const int64_t *lat_cycles = get_buffer(a, "lat_cycles", pool, 0, 8, NULL);
     const int64_t *complex_op = get_buffer(a, "complex_op", pool, 0, 8, NULL);
@@ -599,70 +718,47 @@ marshal_run(PyObject *a, RunState *rs)
         }
     }
 
-    /* --- python-object state, unmarshalled ----------------------------- */
-    PyObject *l1i_sets_o = PyDict_GetItemString(a, "l1i_sets");
-    PyObject *l1d_sets_o = PyDict_GetItemString(a, "l1d_sets");
-    PyObject *l2_sets_o = PyDict_GetItemString(a, "l2_sets");
-    PyObject *hist_o = PyDict_GetItemString(a, "hist");
-    PyObject *pl2_o = PyDict_GetItemString(a, "pl2");
-    PyObject *bim_o = PyDict_GetItemString(a, "bim");
-    PyObject *meta_o = PyDict_GetItemString(a, "meta");
-    PyObject *btb_o = PyDict_GetItemString(a, "btb");
     PyObject *jlists = PyDict_GetItemString(a, "jbufs");
     PyObject *jdraw = PyDict_GetItemString(a, "jdraw");
     PyObject *refill = PyDict_GetItemString(a, "refill");
     PyObject *rollover = PyDict_GetItemString(a, "rollover");
-    if (!l1i_sets_o || !l1d_sets_o || !l2_sets_o || !hist_o || !pl2_o || !bim_o
-        || !meta_o || !btb_o || !jlists || !jdraw || !refill || !rollover) {
+    if (!jlists || !jdraw || !refill || !rollover) {
         PyErr_SetString(PyExc_KeyError, "hotpath: missing object arg");
         goto fail;
     }
 
-    rs->l1i_tags = PyMem_Malloc(l1i_nsets * l1i_ways * sizeof(int64_t));
-    rs->l1i_cnt = PyMem_Calloc(l1i_nsets, sizeof(int32_t));
-    rs->l1d_tags = PyMem_Malloc(l1d_nsets * l1d_ways * sizeof(int64_t));
-    rs->l1d_cnt = PyMem_Calloc(l1d_nsets, sizeof(int32_t));
-    rs->l2_tags = PyMem_Malloc(l2_nsets * l2_ways * sizeof(int64_t));
-    rs->l2_cnt = PyMem_Calloc(l2_nsets, sizeof(int32_t));
-    if (!rs->l1i_tags || !rs->l1i_cnt || !rs->l1d_tags || !rs->l1d_cnt || !rs->l2_tags || !rs->l2_cnt) {
-        PyErr_NoMemory();
+    /* --- caches, predictor tables and BTB, initialised as
+     * CacheHierarchy and CombiningBranchPredictor initialise theirs:
+     * empty sets, no history, weakly-not-taken counters, and meta
+     * counters weakly favouring the two-level component. -------------- */
+    Predictor *bp = &rs->bp;
+    if (cache_alloc(&rs->l1i, l1i_nsets_ll, l1i_ways_ll)
+        || cache_alloc(&rs->l1d, l1d_nsets_ll, l1d_ways_ll)
+        || cache_alloc(&rs->l2, l2_nsets_ll, l2_ways_ll))
+        goto fail;
+    bp->hist = table_alloc(hist_len_ll, 0);
+    bp->pl2 = table_alloc(pl2_len_ll, 1);
+    bp->bim = table_alloc(bim_len_ll, 1);
+    bp->meta = table_alloc(meta_len_ll, 2);
+    if (!bp->hist || !bp->pl2 || !bp->bim || !bp->meta)
+        goto fail;
+    bp->hist_len = hist_len_ll;
+    bp->pl2_len = pl2_len_ll;
+    bp->bim_len = bim_len_ll;
+    bp->meta_len = meta_len_ll;
+    bp->hist_mask = hist_mask_ll;
+    if (btb_nsets_ll < 1 || btb_ways_ll < 1) {
+        PyErr_SetString(PyExc_ValueError, "hotpath: bad BTB geometry");
         goto fail;
     }
-    if (sets_from_list(l1i_sets_o, l1i_nsets, l1i_ways, rs->l1i_tags, rs->l1i_cnt)
-        || sets_from_list(l1d_sets_o, l1d_nsets, l1d_ways, rs->l1d_tags, rs->l1d_cnt)
-        || sets_from_list(l2_sets_o, l2_nsets, l2_ways, rs->l2_tags, rs->l2_cnt))
-        goto fail;
-
-    rs->hist = ints_from_list(hist_o, &rs->hist_len);
-    rs->pl2 = ints_from_list(pl2_o, &rs->pl2_len);
-    rs->bim = ints_from_list(bim_o, &rs->bim_len);
-    rs->meta = ints_from_list(meta_o, &rs->meta_len);
-    if (!rs->hist || !rs->pl2 || !rs->bim || !rs->meta)
-        goto fail;
-
-    /* BTB: list (per set) of list of (tag, target) tuples, MRU last. */
-    rs->btb_tags = PyMem_Malloc(btb_nsets * btb_ways * sizeof(int64_t));
-    rs->btb_tgts = PyMem_Malloc(btb_nsets * btb_ways * sizeof(int64_t));
-    rs->btb_cnt = PyMem_Calloc(btb_nsets, sizeof(int32_t));
-    if (!rs->btb_tags || !rs->btb_tgts || !rs->btb_cnt) {
+    bp->btb_nsets = btb_nsets_ll;
+    bp->btb_ways = (int)btb_ways_ll;
+    bp->btb_tags = PyMem_Malloc(btb_nsets_ll * btb_ways_ll * sizeof(int64_t));
+    bp->btb_tgts = PyMem_Malloc(btb_nsets_ll * btb_ways_ll * sizeof(int64_t));
+    bp->btb_cnt = PyMem_Calloc(btb_nsets_ll, sizeof(int32_t));
+    if (!bp->btb_tags || !bp->btb_tgts || !bp->btb_cnt) {
         PyErr_NoMemory();
         goto fail;
-    }
-    for (Py_ssize_t i = 0; i < btb_nsets; i++) {
-        PyObject *s = PyList_GET_ITEM(btb_o, i);
-        Py_ssize_t k = PyList_GET_SIZE(s);
-        if (k > btb_ways)
-            k = btb_ways;
-        rs->btb_cnt[i] = (int32_t)k;
-        for (Py_ssize_t j = 0; j < k; j++) {
-            PyObject *pair = PyList_GET_ITEM(s, j);
-            rs->btb_tags[i * btb_ways + j] =
-                PyLong_AsLongLong(PyTuple_GET_ITEM(pair, 0));
-            rs->btb_tgts[i * btb_ways + j] =
-                PyLong_AsLongLong(PyTuple_GET_ITEM(pair, 1));
-            if (PyErr_Occurred())
-                goto fail;
-        }
     }
 
     /* Jitter buffers (consumed from the tail, exactly like list.pop).
@@ -734,15 +830,7 @@ marshal_run(PyObject *a, RunState *rs)
     rs->kind_store = kind_store;
     rs->kind_branch = kind_branch;
     rs->shift = shift;
-    rs->l1i_nsets = l1i_nsets;
-    rs->l1d_nsets = l1d_nsets;
-    rs->l2_nsets = l2_nsets;
-    rs->l1i_ways = l1i_ways;
-    rs->l1d_ways = l1d_ways;
-    rs->l2_ways = l2_ways;
-    rs->hist_mask = hist_mask;
-    rs->btb_nsets = btb_nsets;
-    rs->btb_ways = btb_ways;
+    rs->warmup = warmup_ll;
     rs->call_rollover = call_rollover;
     rs->int_free = int_free;
     rs->fp_free = fp_free;
@@ -818,14 +906,6 @@ marshal_run(PyObject *a, RunState *rs)
     rs->cache_stats = cache_stats;
     rs->bp_stats = bp_stats;
     rs->cur_freq = cur_freq;
-    rs->l1i_sets_o = l1i_sets_o;
-    rs->l1d_sets_o = l1d_sets_o;
-    rs->l2_sets_o = l2_sets_o;
-    rs->hist_o = hist_o;
-    rs->pl2_o = pl2_o;
-    rs->bim_o = bim_o;
-    rs->meta_o = meta_o;
-    rs->btb_o = btb_o;
     rs->refill = refill;
     rs->rollover = rollover;
     return 0;
@@ -834,7 +914,33 @@ fail:
     return -1;
 }
 
-/* Stage 2: the event loop.  Called with the GIL RELEASED (*tstate_p
+/* MCDCore.warm_up's replay: the trace's first rs->warmup instructions
+ * touch the L1I once per new fetch line, the predictor and BTB once per
+ * branch, and the L1D once per load or store, with no pipeline timing.
+ * Its hit/miss counters are discarded — the measured run starts from
+ * zero, as after MCDCore.warm_up resets the Python stats. */
+static void
+warm_up(RunState *rs)
+{
+    int64_t discard[6] = {0, 0, 0, 0, 0, 0};
+    const int64_t *kinds = rs->kinds, *pcs = rs->pcs, *addrs = rs->addrs;
+    const int64_t *newline = rs->newline;
+    const int shift = rs->shift;
+    for (int64_t i = 0; i < rs->warmup; i++) {
+        if (newline[i])
+            hierarchy_access(&rs->l1i, &rs->l2, pcs[i] >> shift, discard,
+                             discard + 4);
+        int64_t kind = kinds[i];
+        if (kind == rs->kind_branch)
+            predictor_access(&rs->bp, pcs[i], rs->taken_c[i],
+                             rs->targets_c[i]);
+        else if (kind == rs->kind_load || kind == rs->kind_store)
+            hierarchy_access(&rs->l1d, &rs->l2, addrs[i] >> shift,
+                             discard + 2, discard + 4);
+    }
+}
+
+/* Stage 2: the warm-up, then the event loop.  Called with the GIL RELEASED (*tstate_p
  * holds the saved thread state); the refill/rollover shims re-acquire
  * it per crossing and the updated state flows back through tstate_p.
  * Returns 0 on success — including simulator-level "trace exhausted",
@@ -855,13 +961,6 @@ compute_run(RunState *rs, PyThreadState **tstate_p)
     const int64_t kind_load = rs->kind_load, kind_store = rs->kind_store,
                   kind_branch = rs->kind_branch;
     const int shift = rs->shift;
-    const int64_t l1i_nsets = rs->l1i_nsets, l1d_nsets = rs->l1d_nsets,
-                  l2_nsets = rs->l2_nsets;
-    const int l1i_ways = rs->l1i_ways, l1d_ways = rs->l1d_ways,
-              l2_ways = rs->l2_ways;
-    const int64_t hist_mask = rs->hist_mask;
-    const int64_t btb_nsets = rs->btb_nsets;
-    const int btb_ways = rs->btb_ways;
     const int call_rollover = rs->call_rollover;
     int64_t int_free = rs->int_free, fp_free = rs->fp_free;
     const double mem_latency = rs->mem_latency, window = rs->window;
@@ -890,7 +989,7 @@ compute_run(RunState *rs, PyThreadState **tstate_p)
     const int64_t *taken_c = rs->taken_c, *targets_c = rs->targets_c;
     const int64_t *dest_c = rs->dest_c, *qd_c = rs->qd_c;
     const int64_t *p1_c = rs->p1_c, *p2_c = rs->p2_c;
-    int64_t *newline = rs->newline;
+    const int64_t *newline = rs->newline;
     const int64_t *lat_cycles = rs->lat_cycles, *complex_op = rs->complex_op;
     const int64_t *simple_w = rs->simple_w, *complex_w = rs->complex_w;
     const int64_t *q_cap = rs->q_cap;
@@ -908,20 +1007,15 @@ compute_run(RunState *rs, PyThreadState **tstate_p)
     int64_t *q_occ = rs->q_occ, *q_writes = rs->q_writes;
     int64_t *cache_stats = rs->cache_stats, *bp_stats = rs->bp_stats;
     double *cur_freq = rs->cur_freq;
-    int64_t *l1i_tags = rs->l1i_tags, *l1d_tags = rs->l1d_tags,
-            *l2_tags = rs->l2_tags;
-    int32_t *l1i_cnt = rs->l1i_cnt, *l1d_cnt = rs->l1d_cnt,
-            *l2_cnt = rs->l2_cnt;
-    int64_t *hist = rs->hist, *pl2 = rs->pl2, *bim = rs->bim, *meta = rs->meta;
-    const Py_ssize_t hist_len = rs->hist_len, pl2_len = rs->pl2_len,
-                     bim_len = rs->bim_len, meta_len = rs->meta_len;
-    int64_t *btb_tags = rs->btb_tags, *btb_tgts = rs->btb_tgts;
-    int32_t *btb_cnt = rs->btb_cnt;
+    Cache *l1i = &rs->l1i, *l1d = &rs->l1d, *l2 = &rs->l2;
+    Predictor *bp = &rs->bp;
     double **jbuf = rs->jbuf;
     Py_ssize_t *jlen = rs->jlen;
     int64_t *rob_seq = rs->rob_seq;
     PyObject *rollover = rs->rollover;
     PyThreadState *tstate = *tstate_p;
+    if (rs->warmup)
+        warm_up(rs);
     /* --- local run state ---------------------------------------------- */
     double fin_ns[RING];
     int64_t fin_cycle[RING];
@@ -950,6 +1044,7 @@ compute_run(RunState *rs, PyThreadState **tstate_p)
 
     int active[4] = {1, 0, 0, 0};
     int64_t retired = 0, fetch_i = 0;
+    int64_t line_fetched = -1; /* instruction whose fetch line was looked up */
     double fetch_resume_ns = 0.0;
     int64_t branch_stall_seq = -1;
     int64_t dispatch_stall_cycles = 0, memory_accesses = 0;
@@ -1219,63 +1314,17 @@ compute_run(RunState *rs, PyThreadState **tstate_p)
                 while (fetched < decode_width) {
                     if (fi >= total)
                         break;
-                    if (newline[fi]) {
-                        newline[fi] = 0;
+                    if (newline[fi] && fi != line_fetched) {
+                        line_fetched = fi;
                         access_energy += e_l1i;
-                        int64_t line = pcs[fi] >> shift;
-                        int64_t si = line % l1i_nsets;
-                        int64_t tag = line / l1i_nsets;
-                        int64_t *setp = &l1i_tags[si * l1i_ways];
-                        int cnt = l1i_cnt[si];
-                        int hit = 0;
-                        cache_stats[0]++; /* l1i accesses */
-                        for (int j = 0; j < cnt; j++) {
-                            if (setp[j] == tag) {
-                                for (int k2 = j; k2 < cnt - 1; k2++)
-                                    setp[k2] = setp[k2 + 1];
-                                setp[cnt - 1] = tag;
-                                hit = 1;
-                                break;
-                            }
-                        }
-                        if (!hit) {
-                            cache_stats[1]++; /* l1i misses */
-                            if (cnt == l1i_ways) {
-                                for (int k2 = 0; k2 < cnt - 1; k2++)
-                                    setp[k2] = setp[k2 + 1];
-                                setp[cnt - 1] = tag;
-                            } else {
-                                setp[cnt] = tag;
-                                l1i_cnt[si] = cnt + 1;
-                            }
+                        int level = hierarchy_access(l1i, l2, pcs[fi] >> shift,
+                                                     cache_stats,
+                                                     cache_stats + 4);
+                        if (level != 1) {
                             double delay =
                                 (double)l2_cycles * cur_period[3] + 2.0 * window;
                             access_energy += e_l2;
-                            int64_t s2 = line % l2_nsets;
-                            int64_t tag2 = line / l2_nsets;
-                            int64_t *set2 = &l2_tags[s2 * l2_ways];
-                            int cnt2 = l2_cnt[s2];
-                            int hit2 = 0;
-                            cache_stats[4]++; /* l2 accesses */
-                            for (int j = 0; j < cnt2; j++) {
-                                if (set2[j] == tag2) {
-                                    for (int k2 = j; k2 < cnt2 - 1; k2++)
-                                        set2[k2] = set2[k2 + 1];
-                                    set2[cnt2 - 1] = tag2;
-                                    hit2 = 1;
-                                    break;
-                                }
-                            }
-                            if (!hit2) {
-                                cache_stats[5]++; /* l2 misses */
-                                if (cnt2 == l2_ways) {
-                                    for (int k2 = 0; k2 < cnt2 - 1; k2++)
-                                        set2[k2] = set2[k2 + 1];
-                                    set2[cnt2 - 1] = tag2;
-                                } else {
-                                    set2[cnt2] = tag2;
-                                    l2_cnt[s2] = cnt2 + 1;
-                                }
+                            if (level == 3) {
                                 delay += mem_latency;
                                 memory_accesses++;
                             }
@@ -1315,92 +1364,13 @@ compute_run(RunState *rs, PyThreadState **tstate_p)
                     int mispredicted = 0;
                     if (kind == kind_branch) {
                         access_energy += e_bpred;
-                        int64_t pc = pcs[fi];
-                        int64_t tk = taken_c[fi];
-                        int64_t word = pc >> 2;
-                        int64_t hist_i = word % hist_len;
-                        int64_t history = hist[hist_i];
-                        int64_t pl2_i = (history ^ word) % pl2_len;
-                        int two_level = pl2[pl2_i] >= 2;
-                        int64_t bim_i = word % bim_len;
-                        int bimodal = bim[bim_i] >= 2;
-                        int prediction =
-                            meta[word % meta_len] >= 2 ? two_level : bimodal;
                         bp_stats[0]++; /* lookups */
-                        if (prediction != (int)tk) {
-                            bp_stats[1]++; /* direction mispredicts */
+                        int outcome = predictor_access(bp, pcs[fi], taken_c[fi],
+                                                       targets_c[fi]);
+                        if (outcome) {
+                            /* [1] direction mispredicts, [2] BTB misses */
+                            bp_stats[outcome]++;
                             mispredicted = 1;
-                        } else if (tk) {
-                            int64_t bs = word % btb_nsets;
-                            int64_t btag = word / btb_nsets;
-                            int64_t *btags = &btb_tags[bs * btb_ways];
-                            int64_t *btgts = &btb_tgts[bs * btb_ways];
-                            int bcnt = btb_cnt[bs];
-                            int found = 0;
-                            int64_t found_tgt = 0;
-                            for (int j = 0; j < bcnt; j++) {
-                                if (btags[j] == btag) {
-                                    found = 1;
-                                    found_tgt = btgts[j];
-                                    for (int k2 = j; k2 < bcnt - 1; k2++) {
-                                        btags[k2] = btags[k2 + 1];
-                                        btgts[k2] = btgts[k2 + 1];
-                                    }
-                                    btags[bcnt - 1] = btag;
-                                    btgts[bcnt - 1] = found_tgt;
-                                    break;
-                                }
-                            }
-                            if (!found || found_tgt != targets_c[fi]) {
-                                bp_stats[2]++; /* btb target misses */
-                                mispredicted = 1;
-                            }
-                        }
-                        int64_t value = pl2[pl2_i];
-                        if (tk)
-                            pl2[pl2_i] = value < 3 ? value + 1 : 3;
-                        else
-                            pl2[pl2_i] = value > 0 ? value - 1 : 0;
-                        value = bim[bim_i];
-                        if (tk)
-                            bim[bim_i] = value < 3 ? value + 1 : 3;
-                        else
-                            bim[bim_i] = value > 0 ? value - 1 : 0;
-                        if (two_level != bimodal) {
-                            int64_t meta_i = word % meta_len;
-                            value = meta[meta_i];
-                            if (two_level == (int)tk)
-                                meta[meta_i] = value < 3 ? value + 1 : 3;
-                            else
-                                meta[meta_i] = value > 0 ? value - 1 : 0;
-                        }
-                        hist[hist_i] = ((history << 1) | (tk ? 1 : 0)) & hist_mask;
-                        if (tk) {
-                            int64_t bs = word % btb_nsets;
-                            int64_t btag = word / btb_nsets;
-                            int64_t *btags = &btb_tags[bs * btb_ways];
-                            int64_t *btgts = &btb_tgts[bs * btb_ways];
-                            int bcnt = btb_cnt[bs];
-                            for (int j = 0; j < bcnt; j++) {
-                                if (btags[j] == btag) {
-                                    for (int k2 = j; k2 < bcnt - 1; k2++) {
-                                        btags[k2] = btags[k2 + 1];
-                                        btgts[k2] = btgts[k2 + 1];
-                                    }
-                                    bcnt--;
-                                    break;
-                                }
-                            }
-                            if (bcnt == btb_ways) {
-                                for (int k2 = 0; k2 < bcnt - 1; k2++) {
-                                    btags[k2] = btags[k2 + 1];
-                                    btgts[k2] = btgts[k2 + 1];
-                                }
-                                bcnt--;
-                            }
-                            btags[bcnt] = btag;
-                            btgts[bcnt] = targets_c[fi];
-                            btb_cnt[bs] = bcnt + 1;
                         }
                     }
                     int qn = q_len[qd];
@@ -1561,60 +1531,9 @@ compute_run(RunState *rs, PyThreadState **tstate_p)
                     continue;
                 } else if (kind == kind_load) {
                     sfree--;
-                    int64_t line = addrs[seq - 1] >> shift;
-                    int64_t si = line % l1d_nsets;
-                    int64_t tag = line / l1d_nsets;
-                    int64_t *setp = &l1d_tags[si * l1d_ways];
-                    int cnt = l1d_cnt[si];
-                    int level = 0;
-                    cache_stats[2]++; /* l1d accesses */
-                    for (int j = 0; j < cnt; j++) {
-                        if (setp[j] == tag) {
-                            for (int k2 = j; k2 < cnt - 1; k2++)
-                                setp[k2] = setp[k2 + 1];
-                            setp[cnt - 1] = tag;
-                            level = 1;
-                            break;
-                        }
-                    }
-                    if (!level) {
-                        cache_stats[3]++; /* l1d misses */
-                        if (cnt == l1d_ways) {
-                            for (int k2 = 0; k2 < cnt - 1; k2++)
-                                setp[k2] = setp[k2 + 1];
-                            setp[cnt - 1] = tag;
-                        } else {
-                            setp[cnt] = tag;
-                            l1d_cnt[si] = cnt + 1;
-                        }
-                        int64_t s2 = line % l2_nsets;
-                        int64_t tag2 = line / l2_nsets;
-                        int64_t *set2 = &l2_tags[s2 * l2_ways];
-                        int cnt2 = l2_cnt[s2];
-                        level = 0;
-                        cache_stats[4]++;
-                        for (int j = 0; j < cnt2; j++) {
-                            if (set2[j] == tag2) {
-                                for (int k2 = j; k2 < cnt2 - 1; k2++)
-                                    set2[k2] = set2[k2 + 1];
-                                set2[cnt2 - 1] = tag2;
-                                level = 2;
-                                break;
-                            }
-                        }
-                        if (!level) {
-                            cache_stats[5]++;
-                            if (cnt2 == l2_ways) {
-                                for (int k2 = 0; k2 < cnt2 - 1; k2++)
-                                    set2[k2] = set2[k2 + 1];
-                                set2[cnt2 - 1] = tag2;
-                            } else {
-                                set2[cnt2] = tag2;
-                                l2_cnt[s2] = cnt2 + 1;
-                            }
-                            level = 3;
-                        }
-                    }
+                    int level = hierarchy_access(l1d, l2, addrs[seq - 1] >> shift,
+                                                 cache_stats + 2,
+                                                 cache_stats + 4);
                     access_energy += e_simple; /* L1D probe */
                     if (level == 1) {
                         lat = (double)l1_cycles * period;
@@ -1632,59 +1551,8 @@ compute_run(RunState *rs, PyThreadState **tstate_p)
                     }
                 } else if (kind == kind_store) {
                     sfree--;
-                    int64_t line = addrs[seq - 1] >> shift;
-                    int64_t si = line % l1d_nsets;
-                    int64_t tag = line / l1d_nsets;
-                    int64_t *setp = &l1d_tags[si * l1d_ways];
-                    int cnt = l1d_cnt[si];
-                    int hit = 0;
-                    cache_stats[2]++;
-                    for (int j = 0; j < cnt; j++) {
-                        if (setp[j] == tag) {
-                            for (int k2 = j; k2 < cnt - 1; k2++)
-                                setp[k2] = setp[k2 + 1];
-                            setp[cnt - 1] = tag;
-                            hit = 1;
-                            break;
-                        }
-                    }
-                    if (!hit) {
-                        cache_stats[3]++;
-                        if (cnt == l1d_ways) {
-                            for (int k2 = 0; k2 < cnt - 1; k2++)
-                                setp[k2] = setp[k2 + 1];
-                            setp[cnt - 1] = tag;
-                        } else {
-                            setp[cnt] = tag;
-                            l1d_cnt[si] = cnt + 1;
-                        }
-                        int64_t s2 = line % l2_nsets;
-                        int64_t tag2 = line / l2_nsets;
-                        int64_t *set2 = &l2_tags[s2 * l2_ways];
-                        int cnt2 = l2_cnt[s2];
-                        hit = 0;
-                        cache_stats[4]++;
-                        for (int j = 0; j < cnt2; j++) {
-                            if (set2[j] == tag2) {
-                                for (int k2 = j; k2 < cnt2 - 1; k2++)
-                                    set2[k2] = set2[k2 + 1];
-                                set2[cnt2 - 1] = tag2;
-                                hit = 1;
-                                break;
-                            }
-                        }
-                        if (!hit) {
-                            cache_stats[5]++;
-                            if (cnt2 == l2_ways) {
-                                for (int k2 = 0; k2 < cnt2 - 1; k2++)
-                                    set2[k2] = set2[k2 + 1];
-                                set2[cnt2 - 1] = tag2;
-                            } else {
-                                set2[cnt2] = tag2;
-                                l2_cnt[s2] = cnt2 + 1;
-                            }
-                        }
-                    }
+                    hierarchy_access(l1d, l2, addrs[seq - 1] >> shift,
+                                     cache_stats + 2, cache_stats + 4);
                     access_energy += e_simple;
                     lat = period;
                     lat_c = 1;
@@ -1804,62 +1672,18 @@ compute_run(RunState *rs, PyThreadState **tstate_p)
     return py_error ? -1 : 0;
 }
 
-/* Stage 3: fold cache/predictor/BTB state back into the owning Python
- * objects and build the per-run result dict (GIL held). */
+/* Stage 3: the per-run result dict (GIL held).  The caches, predictor
+ * and BTB die with the RunState; their counters went out through the
+ * cache_stats/bp_stats buffers. */
 static PyObject *
 writeback_run(RunState *rs)
 {
-    PyObject *l1i_sets_o = rs->l1i_sets_o, *l1d_sets_o = rs->l1d_sets_o;
-    PyObject *l2_sets_o = rs->l2_sets_o;
-    PyObject *hist_o = rs->hist_o, *pl2_o = rs->pl2_o, *bim_o = rs->bim_o;
-    PyObject *meta_o = rs->meta_o, *btb_o = rs->btb_o;
-    const int64_t l1i_nsets = rs->l1i_nsets, l1d_nsets = rs->l1d_nsets,
-                  l2_nsets = rs->l2_nsets;
-    const int l1i_ways = rs->l1i_ways, l1d_ways = rs->l1d_ways,
-              l2_ways = rs->l2_ways;
-    int64_t *l1i_tags = rs->l1i_tags, *l1d_tags = rs->l1d_tags,
-            *l2_tags = rs->l2_tags;
-    int32_t *l1i_cnt = rs->l1i_cnt, *l1d_cnt = rs->l1d_cnt,
-            *l2_cnt = rs->l2_cnt;
-    int64_t *hist = rs->hist, *pl2 = rs->pl2, *bim = rs->bim, *meta = rs->meta;
-    const Py_ssize_t hist_len = rs->hist_len, pl2_len = rs->pl2_len,
-                     bim_len = rs->bim_len, meta_len = rs->meta_len;
-    const int64_t btb_nsets = rs->btb_nsets;
-    const int btb_ways = rs->btb_ways;
-    int64_t *btb_tags = rs->btb_tags, *btb_tgts = rs->btb_tgts;
-    int32_t *btb_cnt = rs->btb_cnt;
     const int64_t retired = rs->retired;
     const double wall = rs->wall;
     const int64_t memory_accesses = rs->memory_accesses;
     const int64_t dispatch_stall_cycles = rs->dispatch_stall_cycles;
     const int64_t int_free = rs->int_free, fp_free = rs->fp_free;
     const char *error = rs->error;
-    /* --- marshal state back ------------------------------------------- */
-    if (sets_to_list(l1i_sets_o, l1i_nsets, l1i_ways, l1i_tags, l1i_cnt)
-        || sets_to_list(l1d_sets_o, l1d_nsets, l1d_ways, l1d_tags, l1d_cnt)
-        || sets_to_list(l2_sets_o, l2_nsets, l2_ways, l2_tags, l2_cnt)
-        || ints_to_list(hist_o, hist, hist_len)
-        || ints_to_list(pl2_o, pl2, pl2_len) || ints_to_list(bim_o, bim, bim_len)
-        || ints_to_list(meta_o, meta, meta_len))
-        return NULL;
-    for (Py_ssize_t i = 0; i < btb_nsets; i++) {
-        PyObject *s = PyList_New(btb_cnt[i]);
-        if (s == NULL)
-            return NULL;
-        for (Py_ssize_t j = 0; j < btb_cnt[i]; j++) {
-            PyObject *pair = Py_BuildValue(
-                "(LL)", (long long)btb_tags[i * btb_ways + j],
-                (long long)btb_tgts[i * btb_ways + j]);
-            if (pair == NULL) {
-                Py_DECREF(s);
-                return NULL;
-            }
-            PyList_SET_ITEM(s, j, pair);
-        }
-        if (PyList_SetItem(btb_o, i, s) < 0)
-            return NULL;
-    }
-
     return Py_BuildValue(
         "{s:L,s:d,s:L,s:L,s:L,s:L,s:s}", "retired", (long long)retired, "wall",
         wall, "memory_accesses", (long long)memory_accesses,
@@ -1933,7 +1757,7 @@ run_batch(PyObject *self, PyObject *args)
         PyEval_RestoreThread(tstate);
     }
 
-    /* Stage 3: per-run writeback into the owning Python objects. */
+    /* Stage 3: per-run result dicts. */
     if (!failed) {
         out = PyList_New(n);
         if (out != NULL) {

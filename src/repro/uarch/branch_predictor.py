@@ -58,8 +58,14 @@ class BranchTargetBuffer:
             raise ValueError("BTB sets and ways must be positive")
         self.sets = sets
         self.ways = ways
+
+    def __getattr__(self, name: str):
         # Per set: list of (tag, target), most recently used last.
-        self._table: list[list[tuple[int, int]]] = [[] for _ in range(sets)]
+        # Allocated on first touch: the native loop keeps its own BTB.
+        if name != "_table":
+            raise AttributeError(name)
+        self._table: list[list[tuple[int, int]]] = [[] for _ in range(self.sets)]
+        return self._table
 
     def lookup(self, pc: int) -> int | None:
         """Return the stored target for ``pc``, or None on a miss.
@@ -92,22 +98,39 @@ class BranchTargetBuffer:
             entry_set.pop(0)
 
 
+#: Each predictor table: (its size field in ProcessorConfig, its initial
+#: counter).  ``_hotpath.c`` initialises its copies the same way.
+_TABLES = {
+    "_history": ("bpred_l1_entries", 0),
+    "_l2": ("bpred_l2_entries", 1),
+    "_bimodal": ("bpred_bimodal_entries", 1),
+    "_meta": ("bpred_combining_entries", 2),
+}
+
+
 class CombiningBranchPredictor:
     """The ``comb`` predictor of Table 4.
 
     Parameters come from :class:`ProcessorConfig`; all tables start in
-    weakly-not-taken / no-history state.
+    weakly-not-taken / no-history state, with the meta counters weakly
+    favouring the two-level component.
     """
 
     def __init__(self, config: ProcessorConfig) -> None:
         self.config = config
-        self._history = [0] * config.bpred_l1_entries
         self._history_mask = (1 << config.bpred_history_bits) - 1
-        self._l2 = [1] * config.bpred_l2_entries
-        self._bimodal = [1] * config.bpred_bimodal_entries
-        self._meta = [2] * config.bpred_combining_entries
         self.btb = BranchTargetBuffer(config.btb_sets, config.btb_ways)
         self.stats = BranchStats()
+
+    def __getattr__(self, name: str):
+        # Tables are allocated on first touch: the native loop keeps
+        # its own, so a core that runs natively never builds them.
+        if name not in _TABLES:
+            raise AttributeError(name)
+        size_field, initial = _TABLES[name]
+        table = [initial] * getattr(self.config, size_field)
+        setattr(self, name, table)
+        return table
 
     # --- prediction ----------------------------------------------------------
     def predict_direction(self, pc: int) -> tuple[bool, bool, bool]:

@@ -72,8 +72,15 @@ class SetAssociativeCache:
         self.ways = ways
         self.line_shift = line_bytes.bit_length() - 1
         self.stats = CacheStats()
-        # Per set: list of tags, most recently used last.
+
+    def __getattr__(self, name: str):
+        # Per set: list of tags, most recently used last.  Allocated on
+        # first touch: a core on the native loop keeps its tags in C
+        # and never builds the (up to 16,384) Python lists.
+        if name != "_sets":
+            raise AttributeError(name)
         self._sets: list[list[int]] = [[] for _ in range(self.sets)]
+        return self._sets
 
     def access(self, address: int) -> bool:
         """Look up ``address``; allocate on miss.  Returns hit?"""

@@ -29,7 +29,9 @@ see :func:`repro.sim.engine.compiled_trace_for`) and re-derives the
 config-dependent columns on load.  Writes are atomic
 (temp-file-plus-rename, like the experiment
 :class:`~repro.experiments.cache.CacheStore`), so concurrent
-orchestrator workers never observe a truncated trace.
+orchestrator workers never observe a truncated trace; like the result
+cache, the store skips the fsyncs, since a trace lost to a power cut
+is only regenerated.
 
 A :class:`CompiledTrace` also implements the
 :class:`~repro.uarch.trace.TraceStream` protocol (one big block), so
@@ -80,26 +82,12 @@ class CompiledTrace:
     """One workload's instruction stream in columnar form.
 
     ``arrays`` holds the int64 numpy columns the native loop consumes
-    zero-copy.  Six of them are also kept as plain Python lists
-    (``kinds``, ``pcs``, ``addrs``, ``taken``, ``targets``,
-    ``newline``) for the Python warm-up replay, where list indexing
-    beats numpy scalar indexing.  Every column is read-only: the native
-    loop copies ``newline`` per run and :meth:`blocks` hands each
-    consumer private lists, so one instance serves any number of
-    sequential or concurrent runs.
+    zero-copy.  Every column is read-only: the native loop only reads
+    them and :meth:`blocks` hands each consumer private lists, so one
+    instance serves any number of sequential or concurrent runs.
     """
 
-    __slots__ = (
-        "n",
-        "line_shift",
-        "kinds",
-        "pcs",
-        "addrs",
-        "taken",
-        "targets",
-        "newline",
-        "arrays",
-    )
+    __slots__ = ("n", "line_shift", "arrays")
 
     def __init__(self, *, line_shift: int, arrays: dict) -> None:
         self.n = len(arrays["kinds"])
@@ -107,12 +95,6 @@ class CompiledTrace:
         #: int64 numpy columns (base columns plus the derived dest,
         #: domain, newline and resolved dependency pointers p1/p2).
         self.arrays = arrays
-        self.kinds = arrays["kinds"].tolist()
-        self.pcs = arrays["pcs"].tolist()
-        self.addrs = arrays["addrs"].tolist()
-        self.taken = arrays["taken"].tolist()
-        self.targets = arrays["targets"].tolist()
-        self.newline = arrays["newline"].tolist()
 
     # --- TraceStream protocol ------------------------------------------------
     @property
@@ -186,7 +168,7 @@ def compile_trace(trace: TraceStream, line_shift: int) -> CompiledTrace:
     >>> block.append(IC.INT_ALU, pc=64)
     >>> block.append(IC.LOAD, src1=1, pc=68, addr=4096)
     >>> compiled = compile_trace(ListTrace([block]), line_shift=6)
-    >>> compiled.total_instructions, compiled.newline
+    >>> compiled.total_instructions, compiled.arrays["newline"].tolist()
     (2, [1, 0])
     >>> compiled.arrays["domain"].tolist(), compiled.arrays["p1"].tolist()
     ([1, 3], [0, 1])
@@ -302,11 +284,15 @@ class TraceStore:
         return from_columns(columns, line_shift)
 
     def store(self, key: str, columns: tuple[np.ndarray, ...]) -> None:
-        """Atomically persist base ``columns`` under ``key``."""
+        """Atomically persist base ``columns`` under ``key``.
+
+        The write skips the fsyncs: after a power loss an entry may be
+        empty or partial, which :meth:`load_columns` treats as a miss.
+        """
         if not self.enabled:
             return
         kinds, src1, src2, pcs, addrs, taken, targets = columns
-        with atomic_write(self._path(key)) as handle:
+        with atomic_write(self._path(key), durable=False) as handle:
             np.savez(
                 handle,
                 kinds=kinds.astype(np.uint8),

@@ -58,6 +58,7 @@ The loop exists in two forms that produce byte-identical results:
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 from repro.clocks.domain_clock import DomainClock
@@ -251,6 +252,12 @@ class MCDCore:
         self._build_pipeline()
         self._build_energy_constants()
         self._build_latency_tables()
+        #: Instructions of a warm-up left to the C loop (0 for none).
+        self._warm_pending = 0
+        #: Whether the cache/predictor state lives in the Python objects
+        #: (a Python warm-up or restore), which only the generator loop
+        #: reads.
+        self._py_warm = False
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -346,15 +353,28 @@ class MCDCore:
         resets their statistics so reported rates cover the measured
         region.  Returns the number of instructions replayed.
 
-        A :class:`~repro.uarch.compiled_trace.CompiledTrace` is replayed
-        from its list columns; any other stream is replayed block by
-        block.  Both leave identical predictor/cache state behind.
+        Given the core's own compiled trace on a core that will run
+        natively, the replay is left to the C loop, which performs it
+        over its own tables just before the run.  Any other trace, or
+        a core without the C loop, is replayed block by block through
+        the Python objects, and the core then runs the generator loop
+        over that state.  Both leave identical state behind.
         """
-        if isinstance(trace, CompiledTrace):
-            return self._warm_up_compiled(trace, limit)
+        if trace is self.compiled and not self._warm_pending and not self._py_warm:
+            from repro.uarch.native import load_hotpath
+
+            if load_hotpath() is not None:
+                self._warm_pending = max(0, min(limit, trace.total_instructions))
+                return self._warm_pending
+        self._materialize_warm_up()
+        return self._replay_warm_up(trace, limit)
+
+    def _replay_warm_up(self, trace: TraceStream | CompiledTrace, limit: int) -> int:
+        """:meth:`warm_up` through the Python cache and predictor objects."""
         from repro.uarch.branch_predictor import BranchStats
         from repro.uarch.caches import CacheStats
 
+        self._py_warm = True
         hierarchy = self.hierarchy
         predictor = self.predictor
         line_shift = hierarchy.l1i.line_shift
@@ -364,12 +384,14 @@ class MCDCore:
         kind_store = int(InstructionClass.STORE)
         count = 0
         for block in trace.blocks():
+            if count >= limit:
+                break
             kinds = block.kinds
             pcs = block.pcs
             addrs = block.addrs
             taken = block.taken
             targets = block.targets
-            for i in range(len(kinds)):
+            for i in range(min(len(kinds), limit - count)):
                 line = pcs[i] >> line_shift
                 if line != last_line:
                     last_line = line
@@ -380,161 +402,17 @@ class MCDCore:
                 elif kind == kind_load or kind == kind_store:
                     hierarchy.data_access(addrs[i])
                 count += 1
-                if count >= limit:
-                    break
-            if count >= limit:
-                break
         predictor.stats = BranchStats()
         hierarchy.l1i.stats = CacheStats()
         hierarchy.l1d.stats = CacheStats()
         hierarchy.l2.stats = CacheStats()
         return count
 
-    def _warm_up_compiled(self, trace: CompiledTrace, limit: int) -> int:
-        """Columnar warm-up: same state transitions, flat-array walk.
-
-        Statistics need no tracking here — :meth:`warm_up` discards
-        them after replay — so only the cache tag arrays, predictor
-        tables and BTB are touched, with their update logic inlined.
-        """
-        from repro.uarch.branch_predictor import BranchStats
-        from repro.uarch.caches import CacheStats
-
-        hierarchy = self.hierarchy
-        if trace.line_shift != hierarchy.l1i.line_shift:
-            raise SimulationError(
-                f"compiled trace line shift {trace.line_shift} does not "
-                f"match the cache line shift {hierarchy.l1i.line_shift}"
-            )
-        kinds = trace.kinds
-        pcs = trace.pcs
-        addrs = trace.addrs
-        taken = trace.taken
-        targets = trace.targets
-        newline = trace.newline
-        shift = hierarchy.l1i.line_shift
-        l1i_sets, l1i_nsets, l1i_ways = (
-            hierarchy.l1i._sets, hierarchy.l1i.sets, hierarchy.l1i.ways,
-        )
-        l1d_sets, l1d_nsets, l1d_ways = (
-            hierarchy.l1d._sets, hierarchy.l1d.sets, hierarchy.l1d.ways,
-        )
-        l2_sets, l2_nsets, l2_ways = (
-            hierarchy.l2._sets, hierarchy.l2.sets, hierarchy.l2.ways,
-        )
-        predictor = self.predictor
-        hist = predictor._history
-        hist_len = len(hist)
-        hist_mask = predictor._history_mask
-        pl2 = predictor._l2
-        pl2_len = len(pl2)
-        bim = predictor._bimodal
-        bim_len = len(bim)
-        meta = predictor._meta
-        meta_len = len(meta)
-        btb_table = predictor.btb._table
-        btb_nsets = predictor.btb.sets
-        btb_ways = predictor.btb.ways
-        kind_branch = int(InstructionClass.BRANCH)
-        kind_load = int(InstructionClass.LOAD)
-        kind_store = int(InstructionClass.STORE)
-
-        end = limit if limit < trace.n else trace.n
-        for i in range(end):
-            if newline[i]:
-                line = pcs[i] >> shift
-                entry_set = l1i_sets[line % l1i_nsets]
-                tag = line // l1i_nsets
-                try:
-                    entry_set.remove(tag)
-                    entry_set.append(tag)
-                except ValueError:
-                    entry_set.append(tag)
-                    if len(entry_set) > l1i_ways:
-                        entry_set.pop(0)
-                    entry_set = l2_sets[line % l2_nsets]
-                    tag = line // l2_nsets
-                    try:
-                        entry_set.remove(tag)
-                        entry_set.append(tag)
-                    except ValueError:
-                        entry_set.append(tag)
-                        if len(entry_set) > l2_ways:
-                            entry_set.pop(0)
-            kind = kinds[i]
-            if kind == kind_branch:
-                pc = pcs[i]
-                tk = taken[i]
-                word = pc >> 2
-                hist_i = word % hist_len
-                history = hist[hist_i]
-                pl2_i = (history ^ word) % pl2_len
-                two_level = pl2[pl2_i] >= 2
-                bim_i = word % bim_len
-                bimodal = bim[bim_i] >= 2
-                prediction = two_level if meta[word % meta_len] >= 2 else bimodal
-                if prediction == tk and tk:
-                    # BTB lookup (its LRU reordering is warm state too).
-                    entry_set = btb_table[word % btb_nsets]
-                    tag = word // btb_nsets
-                    for j in range(len(entry_set)):
-                        if entry_set[j][0] == tag:
-                            entry_set.append(entry_set.pop(j))
-                            break
-                value = pl2[pl2_i]
-                if tk:
-                    pl2[pl2_i] = value + 1 if value < 3 else 3
-                else:
-                    pl2[pl2_i] = value - 1 if value > 0 else 0
-                value = bim[bim_i]
-                if tk:
-                    bim[bim_i] = value + 1 if value < 3 else 3
-                else:
-                    bim[bim_i] = value - 1 if value > 0 else 0
-                if two_level != bimodal:
-                    meta_i = word % meta_len
-                    value = meta[meta_i]
-                    if two_level == tk:
-                        meta[meta_i] = value + 1 if value < 3 else 3
-                    else:
-                        meta[meta_i] = value - 1 if value > 0 else 0
-                hist[hist_i] = ((history << 1) | (1 if tk else 0)) & hist_mask
-                if tk:
-                    target = targets[i]
-                    entry_set = btb_table[word % btb_nsets]
-                    tag = word // btb_nsets
-                    for j in range(len(entry_set)):
-                        if entry_set[j][0] == tag:
-                            entry_set.pop(j)
-                            break
-                    entry_set.append((tag, target))
-                    if len(entry_set) > btb_ways:
-                        entry_set.pop(0)
-            elif kind == kind_load or kind == kind_store:
-                line = addrs[i] >> shift
-                entry_set = l1d_sets[line % l1d_nsets]
-                tag = line // l1d_nsets
-                try:
-                    entry_set.remove(tag)
-                    entry_set.append(tag)
-                except ValueError:
-                    entry_set.append(tag)
-                    if len(entry_set) > l1d_ways:
-                        entry_set.pop(0)
-                    entry_set = l2_sets[line % l2_nsets]
-                    tag = line // l2_nsets
-                    try:
-                        entry_set.remove(tag)
-                        entry_set.append(tag)
-                    except ValueError:
-                        entry_set.append(tag)
-                        if len(entry_set) > l2_ways:
-                            entry_set.pop(0)
-        predictor.stats = BranchStats()
-        hierarchy.l1i.stats = CacheStats()
-        hierarchy.l1d.stats = CacheStats()
-        hierarchy.l2.stats = CacheStats()
-        return end
+    def _materialize_warm_up(self) -> None:
+        """Replay a warm-up left to the C loop through the Python objects."""
+        if self._warm_pending:
+            limit, self._warm_pending = self._warm_pending, 0
+            self._replay_warm_up(self.compiled, limit)
 
     # ------------------------------------------------------------------
     # the run
@@ -582,11 +460,13 @@ class MCDCore:
         the per-instruction generator loop otherwise.  ``"native"``
         requires the C loop and a compiled trace; ``"generator"``
         forces the reference loop over whichever trace the core holds.
-        Both paths produce byte-identical results.
+        Both paths produce byte-identical results.  A core warmed up
+        through its Python objects (see :meth:`warm_up`) runs the
+        generator loop, which is the one that reads them.
         """
         if path not in ("auto", "native", "generator"):
             raise SimulationError(f"unknown execution path {path!r}")
-        if path != "generator" and self.compiled is not None:
+        if path != "generator" and self.compiled is not None and not self._py_warm:
             from repro.uarch.native import load_hotpath
 
             hotpath = load_hotpath()
@@ -595,8 +475,10 @@ class MCDCore:
         if path == "native":
             raise SimulationError(
                 "native path unavailable: it needs a core built over a "
-                "compiled trace and a loaded native extension"
+                "compiled trace, a loaded native extension and no "
+                "warm-up through the Python objects"
             )
+        self._materialize_warm_up()
         return self._run_generator()
 
     def _run_compiled_native(self, hotpath) -> CoreResult:
@@ -605,47 +487,49 @@ class MCDCore:
         return finish(hotpath.run_compiled(args))
 
     def warm_state_snapshot(self):
-        """Deep-copy the microarchitectural state :meth:`warm_up` builds.
+        """Copy the cache, predictor and BTB state :meth:`warm_up` builds.
 
-        Warm-up replays the trace through the caches, the branch
-        predictor tables and the BTB, then zeroes their stats — for a
-        given (trace, geometry) the result is deterministic and
-        seed-independent.  The snapshot captures exactly that state so
-        a batch of runs over one trace can warm up once and clone the
-        result instead of replaying the trace per run.
+        Works over the Python objects (a warm-up left to the C loop is
+        replayed through them first); :meth:`restore_warm_state`
+        installs the copy into another core, which then runs the
+        generator loop.
         """
+        self._materialize_warm_up()
         hierarchy = self.hierarchy
         predictor = self.predictor
-        return (
-            [list(s) for s in hierarchy.l1i._sets],
-            [list(s) for s in hierarchy.l1d._sets],
-            [list(s) for s in hierarchy.l2._sets],
-            list(predictor._history),
-            list(predictor._l2),
-            list(predictor._bimodal),
-            list(predictor._meta),
-            [list(s) for s in predictor.btb._table],
-        )
+        return copy.deepcopy((
+            hierarchy.l1i._sets,
+            hierarchy.l1d._sets,
+            hierarchy.l2._sets,
+            predictor._history,
+            predictor._l2,
+            predictor._bimodal,
+            predictor._meta,
+            predictor.btb._table,
+        ))
 
     def restore_warm_state(self, snapshot) -> None:
         """Install a :meth:`warm_state_snapshot` into this (fresh) core.
 
-        Byte-for-byte equivalent to running :meth:`warm_up` over the
-        same trace: the snapshot holds everything warm-up mutates, and
-        a freshly-built core's stats are already the zeros warm-up
-        resets them to.
+        Equivalent to running :meth:`warm_up` through the Python
+        objects over the same trace: the snapshot holds everything
+        warm-up mutates, and a fresh core's stats are already the
+        zeros warm-up resets them to.
         """
-        l1i, l1d, l2, hist, pl2, bim, meta, btb = snapshot
         hierarchy = self.hierarchy
         predictor = self.predictor
-        hierarchy.l1i._sets = [list(s) for s in l1i]
-        hierarchy.l1d._sets = [list(s) for s in l1d]
-        hierarchy.l2._sets = [list(s) for s in l2]
-        predictor._history = list(hist)
-        predictor._l2 = list(pl2)
-        predictor._bimodal = list(bim)
-        predictor._meta = list(meta)
-        predictor.btb._table = [list(s) for s in btb]
+        (
+            hierarchy.l1i._sets,
+            hierarchy.l1d._sets,
+            hierarchy.l2._sets,
+            predictor._history,
+            predictor._l2,
+            predictor._bimodal,
+            predictor._meta,
+            predictor.btb._table,
+        ) = copy.deepcopy(snapshot)
+        self._warm_pending = 0
+        self._py_warm = True
 
     def native_marshal(self):
         """Marshal this core for the C loop; returns ``(args, finish)``.
@@ -654,7 +538,9 @@ class MCDCore:
         consumes (also one slot of a :func:`_hotpath.run_batch` vector);
         ``finish(res)`` folds the C loop's result back into the owning
         Python objects exactly as :meth:`_run_generator` would leave
-        them and returns the :class:`CoreResult`.  Splitting the two
+        them — except the cache, predictor and BTB contents, which
+        live and die in C; only their statistics fold back — and
+        returns the :class:`CoreResult`.  Splitting the two
         lets the engine marshal N cores up front, run the whole batch
         under one GIL release, and fold each run back afterwards.
 
@@ -667,8 +553,19 @@ class MCDCore:
         bit generator to the loop, which draws every jitter block in C;
         other jitter models fall back to the per-block ``refill``
         callback.
+
+        The C loop allocates the caches, predictor tables and BTB
+        itself and replays any warm-up :meth:`warm_up` left to it, so
+        a core whose state lives in its Python objects cannot be
+        marshalled.
         """
         import numpy as np
+
+        if self._py_warm:
+            raise SimulationError(
+                "core was warmed up through its Python objects; "
+                "only the generator loop runs it"
+            )
 
         from repro.uarch.native import (
             fold_native_controller,
@@ -838,7 +735,7 @@ class MCDCore:
             "domain": comp.arrays["domain"],
             "p1": comp.arrays["p1"],
             "p2": comp.arrays["p2"],
-            "newline": comp.arrays["newline"].copy(),
+            "newline": comp.arrays["newline"],
             # tables
             "lat_cycles": lat_cycles,
             "complex_op": complex_op,
@@ -867,15 +764,6 @@ class MCDCore:
             "q_writes": q_writes,
             "cache_stats": cache_stats,
             "bp_stats": bp_stats,
-            # python-owned microarchitectural state
-            "l1i_sets": hierarchy.l1i._sets,
-            "l1d_sets": hierarchy.l1d._sets,
-            "l2_sets": hierarchy.l2._sets,
-            "hist": predictor._history,
-            "pl2": predictor._l2,
-            "bim": predictor._bimodal,
-            "meta": predictor._meta,
-            "btb": predictor.btb._table,
             "jbufs": [getattr(j, "_buffer", []) for j in jitters],
             "jdraw": [native_jitter_args(j) for j in jitters],
             "refill": refill,
@@ -903,8 +791,13 @@ class MCDCore:
             "l2_nsets": hierarchy.l2.sets,
             "l2_ways": hierarchy.l2.ways,
             "hist_mask": predictor._history_mask,
+            "hist_len": proc.bpred_l1_entries,
+            "pl2_len": proc.bpred_l2_entries,
+            "bim_len": proc.bpred_bimodal_entries,
+            "meta_len": proc.bpred_combining_entries,
             "btb_nsets": predictor.btb.sets,
             "btb_ways": predictor.btb.ways,
+            "warmup": self._warm_pending,
             "call_rollover": (
                 1
                 if (
@@ -936,8 +829,8 @@ class MCDCore:
                     f"trace exhausted with {res['retired']}/{comp.n} retired"
                 )
 
-            # Fold the run's state back into the owning objects, exactly
-            # as the Python path leaves them.
+            # Fold the run's state and statistics back into the owning
+            # objects, exactly as the Python path leaves them.
             self.int_regs.free = res["int_free"]
             self.fp_regs.free = res["fp_free"]
             for i in (1, 2, 3):

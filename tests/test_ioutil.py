@@ -96,6 +96,49 @@ class TestFsyncOrdering:
         assert not target.exists()
 
 
+class TestNonDurableWriters:
+    """Recomputable stores publish atomically but skip both fsyncs."""
+
+    @pytest.fixture
+    def fsyncs(self, monkeypatch):
+        calls: list[int] = []
+        real_fsync = os.fsync
+
+        def recording_fsync(fd):
+            calls.append(fd)
+            return real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        return calls
+
+    def test_non_durable_write_skips_fsyncs(self, tmp_path, fsyncs):
+        target = tmp_path / "entry.json"
+        with atomic_write(target, "w", durable=False) as handle:
+            handle.write("recomputable")
+        assert target.read_text() == "recomputable"
+        assert fsyncs == []
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_cache_and_trace_stores_skip_fsyncs(self, tmp_path, fsyncs):
+        import numpy as np
+
+        from repro.experiments.cache import CacheStore
+        from repro.uarch.compiled_trace import TraceStore
+
+        cache = CacheStore(tmp_path / "cache")
+        cache.store(cache.key({"x": 1}), {"value": 1})
+        traces = TraceStore(tmp_path / "traces")
+        columns = tuple(np.zeros(3, dtype=np.int64) for _ in range(7))
+        traces.store(traces.key({"x": 1}), columns)
+        assert fsyncs == []
+
+    def test_result_database_keeps_fsyncs(self, tmp_path, fsyncs):
+        from repro.resultdb import ResultDB
+
+        ResultDB(tmp_path / "db").record("bench", {"metric": 1.0}, scale=1.0)
+        assert len(fsyncs) == 2  # the record file, then its directory
+
+
 class TestAppendLine:
     def test_appends_newline_terminated_records(self, tmp_path):
         from repro.ioutil import append_line
