@@ -128,11 +128,25 @@ class CampaignSpec:
             text = path.read_text()
         except OSError as exc:
             raise CampaignError(f"cannot read campaign file {path}: {exc}") from None
+        return cls.from_text(text, source=path, output_dir=output_dir)
+
+    @classmethod
+    def from_text(
+        cls,
+        text: str,
+        source: Path | str,
+        output_dir: Path | str | None = None,
+    ) -> "CampaignSpec":
+        """Parse and validate a campaign file's TOML text.
+
+        ``source`` names the text in errors and anchors its relative
+        paths, as the file path does for :meth:`load`.
+        """
         try:
             data = _toml.loads(text)
         except ValueError as exc:  # tomllib.TOMLDecodeError is a ValueError
-            raise CampaignError(f"{path} is not valid TOML: {exc}") from None
-        return cls.from_dict(data, source=path, output_dir=output_dir)
+            raise CampaignError(f"{source} is not valid TOML: {exc}") from None
+        return cls.from_dict(data, source=source, output_dir=output_dir)
 
     @classmethod
     def from_dict(

@@ -15,10 +15,11 @@ control interval:
   extreme, an attack in the opposite direction is forced.
 
 The printed listing's guard ``(PrevIPC / IPC) >= PerfDegThreshold`` is
-a tautology for the paper's threshold range (see DESIGN.md
-substitution #4); the default here implements the prose semantics
-(decreases proceed only while recent IPC degradation is within the
-threshold) and ``literal_listing=True`` reproduces the listing exactly.
+a tautology for the paper's threshold range (see docs/architecture.md,
+Modelling substitutions #4); the default here implements the prose
+semantics (decreases proceed only while recent IPC degradation is
+within the threshold) and ``literal_listing=True`` reproduces the
+listing exactly.
 """
 
 from __future__ import annotations
@@ -76,10 +77,10 @@ class AttackDecayController:
         counter ~20x noisier than the hardware the algorithm was
         designed around — noise that spuriously blocks the decrease
         paths about half the time.  An alpha of ~0.3 restores the
-        paper's effective averaging horizon (DESIGN.md substitution
-        #2).  Queue utilization is never smoothed: attack-mode reaction
-        speed is the algorithm's point.  Set to 1.0 to disable
-        smoothing (raw Listing-1 inputs).
+        paper's effective averaging horizon (docs/architecture.md,
+        Modelling substitutions #2).  Queue utilization is never
+        smoothed: attack-mode reaction speed is the algorithm's point.
+        Set to 1.0 to disable smoothing (raw Listing-1 inputs).
     """
 
     instantaneous = False

@@ -132,15 +132,7 @@ def _campaign_spec(toml_text: object):
     if not isinstance(toml_text, str) or not toml_text.strip():
         raise _HttpError(400, "'campaign' must be the TOML file's text")
     try:
-        import tomllib as _toml
-    except ModuleNotFoundError:  # pragma: no cover - Python < 3.11
-        from repro.campaigns import _minitoml as _toml
-    try:
-        data = _toml.loads(toml_text)
-    except ValueError as exc:
-        raise _HttpError(400, f"campaign body is not valid TOML: {exc}") from None
-    try:
-        return CampaignSpec.from_dict(data, source="<request>")
+        return CampaignSpec.from_text(toml_text, source="<request>")
     except CampaignError as exc:
         raise _HttpError(400, f"invalid campaign: {exc}") from None
 

@@ -108,24 +108,26 @@ def cache_enabled() -> bool:
 def parse_workers(raw: int | str | None, source: str = "workers") -> int:
     """Resolve a worker-count setting to a concrete positive integer.
 
-    Accepts an int, a decimal string, or ``"auto"`` (all cores, i.e.
-    ``os.cpu_count()``); None means 1 (serial).  ``source`` names the
-    knob in error messages (``REPRO_WORKERS``, ``--workers``, ...).
+    Accepts a positive int, a decimal string, or ``"auto"`` (all cores,
+    i.e. ``os.cpu_count()``); None means 1 (serial).  Anything below 1
+    raises; ``source`` names the knob in error messages
+    (``REPRO_WORKERS``, ``--workers``, ...).
     """
     if raw is None:
         return 1
-    if isinstance(raw, int):
-        return max(1, raw)
-    text = str(raw).strip()
-    if text.lower() == "auto":
-        return max(1, os.cpu_count() or 1)
-    try:
-        workers = int(text)
-    except ValueError:
-        raise ExperimentError(
-            f"malformed {source} {raw!r}: expected an integer or 'auto'"
-        ) from None
-    return max(1, workers)
+    if not isinstance(raw, int):
+        text = str(raw).strip()
+        if text.lower() == "auto":
+            return max(1, os.cpu_count() or 1)
+        try:
+            raw = int(text)
+        except ValueError:
+            raise ExperimentError(
+                f"malformed {source} {text!r}: expected an integer or 'auto'"
+            ) from None
+    if raw < 1:
+        raise ExperimentError(f"{source} must be >= 1, got {raw!r}")
+    return raw
 
 
 def default_workers() -> int:

@@ -314,14 +314,15 @@ class Orchestrator:
         # construction, before any work starts — not as an
         # ExperimentError surfacing from deep inside run().
         self.backend = backend if backend is not None else default_backend()
-        self.start_method = start_method
-        requested_method = start_method or os.environ.get("REPRO_START_METHOD")
-        if requested_method:
+        #: The effective start method (argument, else
+        #: ``REPRO_START_METHOD``), or None for fork where available.
+        self.start_method = start_method or os.environ.get("REPRO_START_METHOD")
+        if self.start_method:
             available = multiprocessing.get_all_start_methods()
-            if requested_method not in available:
+            if self.start_method not in available:
                 source = "start method" if start_method else "REPRO_START_METHOD"
                 raise ExperimentError(
-                    f"unsupported {source} {requested_method!r}; "
+                    f"unsupported {source} {self.start_method!r}; "
                     f"available: {', '.join(available)}"
                 )
         self.batch = default_batch() if batch is None else parse_batch(batch)
@@ -332,7 +333,7 @@ class Orchestrator:
         if requested == "serial" or self.workers <= 1 or total <= 1:
             return "serial"
         if requested == "auto":
-            if self.start_method or os.environ.get("REPRO_START_METHOD"):
+            if self.start_method:
                 return "process"  # a start method only means processes
             from repro.uarch.native import load_hotpath
 
@@ -549,15 +550,8 @@ class Orchestrator:
 
     def _mp_context(self):
         """The multiprocessing context honouring the configured method."""
-        requested = self.start_method or os.environ.get("REPRO_START_METHOD")
-        if requested:
-            available = multiprocessing.get_all_start_methods()
-            if requested not in available:
-                raise ExperimentError(
-                    f"unsupported start method {requested!r}; "
-                    f"available: {', '.join(available)}"
-                )
-            return multiprocessing.get_context(requested)
+        if self.start_method:
+            return multiprocessing.get_context(self.start_method)
         # Fork (where available) is cheapest: workers inherit compiled
         # traces and registries directly.
         try:

@@ -19,7 +19,6 @@ Without the C loop a compiled trace runs through the generator loop.
 from __future__ import annotations
 
 import logging
-import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -45,7 +44,8 @@ logger = logging.getLogger(__name__)
 #: length (and interval length) by roughly 20-30x, so the slew rate is
 #: compressed alongside to preserve the ratio of actuation delay to
 #: control interval — otherwise the regulator, not the algorithm, would
-#: dominate the scaled results (DESIGN.md substitution #2).
+#: dominate the scaled results (docs/architecture.md, Modelling
+#: substitutions #2).
 SCALED_SLEW_NS_PER_MHZ = 1.5
 
 
@@ -54,58 +54,45 @@ def scaled_mcd_config() -> MCDConfig:
     return MCDConfig(slew_ns_per_mhz=SCALED_SLEW_NS_PER_MHZ)
 
 
-def trace_cache_entries() -> int:
-    """Capacity of the in-process compiled-trace cache.
+#: Byte budget of the in-process compiled-trace cache.  The 30-trace
+#: catalog's compiled columns total 5.3 MiB at scale 0.02, 53.3 MiB at
+#: 0.2, 133.2 MiB at 0.5 and 266.4 MiB at 1.0 (the largest single
+#: trace is 14.65 MiB at 1.0), so 160 MiB holds the whole catalog up to
+#: scale 0.5: a cold Table 6 then builds or loads each trace once.
+TRACE_CACHE_BYTES = 160 * 2**20
 
-    ``REPRO_TRACE_CACHE`` overrides the default of 8 entries (a
-    compiled trace is tens of MB of columns at full scale, so the
-    bound is deliberately modest; raise it for wide thread-pool sweeps
-    over many distinct benchmarks on a big-memory host).
-    """
-    raw = os.environ.get("REPRO_TRACE_CACHE", "8")
-    try:
-        entries = int(raw)
-    except ValueError:
-        raise ExperimentError(
-            f"malformed REPRO_TRACE_CACHE {raw!r}: expected an integer"
-        ) from None
-    return max(1, entries)
+
+def _trace_bytes(trace: CompiledTrace) -> int:
+    """Bytes held by a compiled trace's columns."""
+    return sum(a.nbytes for a in trace.arrays.values())
 
 
 class TraceCache:
-    """Process-wide, thread-safe, size-bounded cache of compiled traces.
+    """Process-wide, thread-safe, byte-bounded cache of compiled traces.
 
     Keyed by (content hash, line shift); one instance is shared by
     every run in the process, so N thread-pool workers sweeping the
     same benchmarks load and compile each trace once instead of N
-    times.  Lookups are LRU; concurrent misses on one key are
-    single-flighted — the first thread builds while the others wait on
-    an event and then reuse the result, because building a trace
-    (generate + columnise) is exactly the expensive work the cache
-    exists to avoid repeating.
+    times.  Lookups are LRU and evict the least recently used traces
+    while their columns exceed ``budget_bytes``; the newest trace is
+    always kept, even alone over budget.  Concurrent misses on one key
+    are single-flighted — the first thread builds while the others
+    wait on an event and then reuse the result, because building a
+    trace (generate + columnise) is exactly the expensive work the
+    cache exists to avoid repeating.
     """
 
-    def __init__(self, entries: int | None = None) -> None:
-        # None defers to REPRO_TRACE_CACHE, resolved lazily so a
-        # malformed value surfaces as an ExperimentError inside run
-        # handling, not as an import-time crash of every entry point.
-        self._entries = None if entries is None else max(1, entries)
+    def __init__(self, budget_bytes: int = TRACE_CACHE_BYTES) -> None:
+        self.budget_bytes = budget_bytes
         self._items: OrderedDict[tuple[str, int], CompiledTrace] = OrderedDict()
+        self._bytes = 0
         self._flight = SingleFlight()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
-    @property
-    def entries(self) -> int:
-        """The capacity bound (resolving ``REPRO_TRACE_CACHE`` lazily)."""
-        if self._entries is None:
-            self._entries = trace_cache_entries()
-        return self._entries
-
     def get_or_build(self, key: tuple[str, int], build) -> CompiledTrace:
         """The cached trace under ``key``, building it at most once."""
-        entries = self.entries  # resolve (and maybe raise) up front
 
         def lookup():
             # Runs under the flight lock, which guards _items too.
@@ -117,9 +104,10 @@ class TraceCache:
 
         def publish(item):
             self._items[key] = item
-            self._items.move_to_end(key)
-            while len(self._items) > entries:
-                self._items.popitem(last=False)
+            self._bytes += _trace_bytes(item)
+            while self._bytes > self.budget_bytes and len(self._items) > 1:
+                _, evicted = self._items.popitem(last=False)
+                self._bytes -= _trace_bytes(evicted)
                 self.evictions += 1
             self.misses += 1
 
@@ -130,6 +118,7 @@ class TraceCache:
         """Drop every cached trace (testing/maintenance hook)."""
         with self._flight.lock:
             self._items.clear()
+            self._bytes = 0
 
 
 #: Shared on-disk store of compiled traces plus the process-wide

@@ -5,8 +5,8 @@ The paper evaluates 30 applications from MediaBench, Olden and Spec2000
 each with a deterministic, seeded *synthetic workload model* whose
 instruction stream reproduces the benchmark's published character —
 instruction mix, dependency structure, cache/branch behaviour and phase
-structure — through the real predictor, caches and pipeline (DESIGN.md
-substitution #1).
+structure — through the real predictor, caches and pipeline
+(docs/architecture.md, Modelling substitutions #1).
 """
 
 from repro.workloads.catalog import (

@@ -144,6 +144,14 @@ class TestCampaignSpec:
         with pytest.raises(CampaignError, match="not valid TOML"):
             CampaignSpec.load(path)
 
+    def test_from_text_matches_load(self, tmp_path):
+        path = write_campaign(tmp_path)
+        assert CampaignSpec.from_text(SMALL_CAMPAIGN, source=path) == (
+            CampaignSpec.load(path)
+        )
+        with pytest.raises(CampaignError, match="<request> is not valid TOML"):
+            CampaignSpec.from_text("[campaign\nname=", source="<request>")
+
     def test_unknown_section_raises(self, tmp_path):
         path = write_campaign(tmp_path, SMALL_CAMPAIGN + "\n[matrxi]\nx = 1\n")
         with pytest.raises(CampaignError, match="matrxi"):
@@ -562,6 +570,12 @@ class TestCampaignCLI:
         monkeypatch.setenv("REPRO_BACKEND", "quantum")
         assert main(["campaign", "run", str(path), "--dry-run"]) == 2
         assert "REPRO_BACKEND" in capsys.readouterr().err
+
+    def test_zero_workers_is_usage_error(self, tmp_path, capsys):
+        text = SMALL_CAMPAIGN + "workers = 0\n"
+        path = write_campaign(tmp_path, text)
+        assert main(["campaign", "run", str(path), "--dry-run"]) == 2
+        assert "workers must be >= 1" in capsys.readouterr().err
 
     def test_quarantined_failures_exit_one(self, tmp_path, capsys):
         from repro.experiments import CONFIGURATIONS, register_configuration

@@ -141,6 +141,19 @@ class TestSweepErrorPaths:
         assert rc == 2
         assert "REPRO_BATCH" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one(self, capsys, workers):
+        rc = main(["sweep", "--benchmarks", "adpcm", "--configurations", "sync",
+                   "--workers", workers])
+        assert rc == 2
+        assert "workers must be >= 1" in capsys.readouterr().err
+
+    def test_repro_workers_zero(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "0")
+        rc = main(["sweep", "--benchmarks", "adpcm", "--configurations", "sync"])
+        assert rc == 2
+        assert "REPRO_WORKERS" in capsys.readouterr().err
+
     def test_malformed_repro_start_method(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_START_METHOD", "teleport")
         rc = main(["sweep", "--benchmarks", "adpcm", "--configurations", "sync"])

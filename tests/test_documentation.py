@@ -6,7 +6,8 @@ Two layers of enforcement:
   method carries a docstring;
 * the documentation surface — ``README.md`` exists, its Python code
   blocks actually execute, and every relative link in the README and
-  ``docs/`` resolves to a real file.
+  ``docs/`` resolves to a real file, as does every ``*.md`` path the
+  source names.
 """
 
 import importlib
@@ -119,3 +120,33 @@ def test_markdown_links_resolve():
             if not path.exists():
                 broken.append(f"{doc.relative_to(REPO)} -> {target}")
     assert not broken, f"broken documentation links: {broken}"
+
+
+#: Markdown files the program writes rather than the repository holds.
+GENERATED_DOCS = {"EXPERIMENTS.md"}  # repro.reporting.experiments
+
+
+def _source_texts():
+    for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+        yield path, path.read_text()
+
+
+def test_markdown_paths_named_in_source_exist():
+    """Every ``*.md`` path a source comment or string names is real."""
+    missing = []
+    for path, text in _source_texts():
+        for name in set(re.findall(r"[\w./-]+\.md\b", text)):
+            if name not in GENERATED_DOCS and not (REPO / name).exists():
+                missing.append(f"{path.relative_to(REPO)} -> {name}")
+    assert not missing, f"source names missing documents: {missing}"
+
+
+def test_cited_modelling_substitutions_exist():
+    """Each "Modelling substitutions #N" cited in source is an item there."""
+    doc = (REPO / "docs" / "architecture.md").read_text()
+    section = doc.split("## Modelling substitutions", 1)[1].split("\n## ", 1)[0]
+    items = {int(n) for n in re.findall(r"^(\d+)\. \*\*", section, re.MULTILINE)}
+    cited = set()
+    for _, text in _source_texts():
+        cited |= {int(n) for n in re.findall(r"substitutions\s+#(\d+)", text)}
+    assert cited and cited <= items, (sorted(cited), sorted(items))

@@ -172,6 +172,11 @@ class TestServeErrors:
         )
         assert status == 400
         assert "backend" in payload["error"]
+        status, payload = request(
+            server, "POST", "/jobs", body={**MATRIX_BODY, "workers": 0}
+        )
+        assert status == 400
+        assert "workers must be >= 1" in payload["error"]
 
     def test_results_conflict_while_running(self, server):
         from repro.experiments import CONFIGURATIONS, register_configuration

@@ -1,8 +1,9 @@
 """Focused tests of the crossing rules inside the core.
 
-These pin the timing semantics DESIGN.md §4 describes: the synchronous
-baseline's crossing threshold degenerates to the classic next-edge
-pipeline stage, and MCD crossings pay the Sjogren-Myers window.
+These pin the timing semantics ``repro.clocks.synchronizer``
+describes: the synchronous baseline's crossing threshold degenerates
+to the classic next-edge pipeline stage, and MCD crossings pay the
+Sjogren-Myers window.
 """
 
 import pytest

@@ -16,7 +16,7 @@ that promise:
   stream in C, and the same stress on the generator loop over one shared
   trace with the native loop disabled;
 * unit coverage for the process-wide trace cache
-  (single-flight, LRU bound), the ``TraceStore`` column memo, the
+  (single-flight, LRU byte budget, catalog residency), the ``TraceStore`` column memo, the
   ``CacheStore`` memory front, ``workers='auto'`` resolution, backend
   selection, and the build stamp (compiler identity, numpy version,
   linked ``libnpyrandom.a``).
@@ -41,7 +41,7 @@ from repro.experiments.orchestrator import default_backend
 from repro.metrics.summary import summarize
 from repro.sim.engine import TraceCache, compiled_trace_for, scaled_mcd_config
 from repro.uarch import native
-from repro.uarch.compiled_trace import TraceStore, trace_columns
+from repro.uarch.compiled_trace import TraceStore, from_columns, trace_columns
 from repro.uarch.core import CoreOptions, MCDCore
 from repro.workloads.catalog import get_benchmark
 
@@ -255,16 +255,26 @@ class TestSharedTraceStress:
 # ---------------------------------------------------------------------------
 
 
+def _small_trace(n: int = 64):
+    """A tiny compiled trace for exercising the cache's byte budget."""
+    return from_columns(tuple(np.zeros(n, dtype=np.int64) for _ in range(7)), 6)
+
+
+def _nbytes(trace) -> int:
+    return sum(a.nbytes for a in trace.arrays.values())
+
+
 class TestTraceCache:
     def test_single_flight_builds_once(self):
-        cache = TraceCache(entries=4)
+        cache = TraceCache()
+        trace = _small_trace()
         builds = []
         gate = threading.Event()
 
         def build():
             builds.append(threading.current_thread().name)
             gate.wait(timeout=5)  # hold every waiter on the event path
-            return "trace"
+            return trace
 
         results = [None] * 6
 
@@ -280,22 +290,67 @@ class TestTraceCache:
         for thread in pool:
             thread.join()
         assert builds and len(builds) == 1
-        assert results == ["trace"] * 6
+        assert all(result is trace for result in results)
         assert cache.hits == 5 and cache.misses == 1
 
-    def test_lru_bound_evicts_oldest(self):
-        cache = TraceCache(entries=2)
-        for i in range(3):
-            cache.get_or_build(("k", i), lambda i=i: f"t{i}")
+    def test_byte_budget_evicts_least_recently_used(self):
+        traces = [_small_trace() for _ in range(3)]
+        cache = TraceCache(budget_bytes=2 * _nbytes(traces[0]))
+        cache.get_or_build(("k", 0), lambda: traces[0])
+        cache.get_or_build(("k", 1), lambda: traces[1])
+        assert cache.evictions == 0
+        # Touch k0 so k1 is the least recently used when k2 overflows.
+        assert cache.get_or_build(("k", 0), lambda: pytest.fail("cached")) is traces[0]
+        cache.get_or_build(("k", 2), lambda: traces[2])
         assert cache.evictions == 1
-        # Oldest key rebuilt, newest two served from cache.
-        rebuilt = []
-        cache.get_or_build(("k", 0), lambda: rebuilt.append(1) or "t0")
-        assert rebuilt == [1]
-        cache.get_or_build(("k", 2), lambda: pytest.fail("should be cached"))
+        assert cache.get_or_build(("k", 0), lambda: pytest.fail("cached")) is traces[0]
+        assert cache.get_or_build(("k", 2), lambda: pytest.fail("cached")) is traces[2]
+        rebuilt = _small_trace()
+        assert cache.get_or_build(("k", 1), lambda: rebuilt) is rebuilt
+
+    def test_over_budget_entry_is_cached_alone(self):
+        big, bigger = _small_trace(64), _small_trace(128)
+        cache = TraceCache(budget_bytes=_nbytes(big) // 2)
+        cache.get_or_build(("k", 0), lambda: big)
+        assert cache.get_or_build(("k", 0), lambda: pytest.fail("cached")) is big
+        assert cache.evictions == 0
+        cache.get_or_build(("k", 1), lambda: bigger)
+        assert cache.evictions == 1
+        assert cache.get_or_build(("k", 1), lambda: pytest.fail("cached")) is bigger
+        assert (cache.hits, cache.misses) == (2, 2)
+
+    def test_concurrent_churn_keeps_byte_total(self):
+        """Many threads over more keys than fit: the byte total stays exact."""
+        import sys
+
+        traces = [_small_trace(32 + 8 * i) for i in range(12)]
+        cache = TraceCache(budget_bytes=3 * _nbytes(traces[-1]))
+
+        def worker(offset: int) -> None:
+            for i in range(200):
+                k = (offset + i * 7) % len(traces)
+                assert cache.get_or_build(("k", k), lambda k=k: traces[k]) is traces[k]
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = [threading.Thread(target=worker, args=(t,)) for t in range(8)]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in pool)
+        held = list(cache._items.values())
+        assert cache._bytes == sum(_nbytes(t) for t in held)
+        assert cache._bytes <= cache.budget_bytes or len(held) == 1
+        assert cache.misses - cache.evictions == len(held)
+        assert cache.hits + cache.misses == 8 * 200
 
     def test_failed_build_releases_waiters(self):
-        cache = TraceCache(entries=2)
+        cache = TraceCache()
+        trace = _small_trace()
 
         def boom():
             raise RuntimeError("build failed")
@@ -303,14 +358,24 @@ class TestTraceCache:
         with pytest.raises(RuntimeError):
             cache.get_or_build(("k", 6), boom)
         # The key is buildable again (no stuck in-flight marker).
-        assert cache.get_or_build(("k", 6), lambda: "ok") == "ok"
+        assert cache.get_or_build(("k", 6), lambda: trace) is trace
 
-    def test_malformed_env_capacity_rejected(self, monkeypatch):
-        from repro.sim.engine import trace_cache_entries
+    def test_default_budget_holds_the_catalog(self, monkeypatch):
+        """One cold pass over the 30 catalog traces evicts nothing."""
+        import repro.sim.engine as engine
+        from repro.workloads.catalog import benchmark_names
 
-        monkeypatch.setenv("REPRO_TRACE_CACHE", "plenty")
-        with pytest.raises(ExperimentError, match="plenty"):
-            trace_cache_entries()
+        monkeypatch.setenv("REPRO_CACHE", "0")
+        cache = TraceCache()
+        monkeypatch.setattr(engine, "_TRACE_MEMO", cache)
+        names = benchmark_names()
+        assert len(names) == 30
+        for name in names:
+            compiled_trace_for(get_benchmark(name), 0.02, LINE_SHIFT)
+        assert (cache.misses, cache.evictions, cache.hits) == (30, 0, 0)
+        for name in names:
+            compiled_trace_for(get_benchmark(name), 0.02, LINE_SHIFT)
+        assert (cache.misses, cache.evictions, cache.hits) == (30, 0, 30)
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +475,24 @@ class TestWorkerResolution:
     def test_parse_workers_rejects_garbage(self):
         with pytest.raises(ExperimentError, match="plenty"):
             parse_workers("plenty", "REPRO_WORKERS")
+
+    @pytest.mark.parametrize(
+        "raw", [0, -2, "0", " -2 "], ids=["int0", "int-2", "str0", "str-2"]
+    )
+    def test_parse_workers_rejects_counts_below_one(self, raw):
+        with pytest.raises(ExperimentError, match="--workers must be >= 1"):
+            parse_workers(raw, "--workers")
+
+    def test_repro_workers_zero_rejected(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "0")
+        with pytest.raises(ExperimentError, match="REPRO_WORKERS"):
+            default_workers()
+        with pytest.raises(ExperimentError, match="REPRO_WORKERS"):
+            Orchestrator()
+
+    def test_orchestrator_rejects_zero_workers(self):
+        with pytest.raises(ExperimentError, match="workers must be >= 1"):
+            Orchestrator(workers=0)
 
     def test_repro_workers_auto(self, monkeypatch):
         import os
